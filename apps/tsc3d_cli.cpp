@@ -5,7 +5,7 @@
 //
 //   tsc3d [--config=FILE] [--benchmark=n100 | --blocks=F [--nets=F]
 //         [--pl=F] [--power=F]] [--mode=power|tsc] [--seed=N]
-//         [--moves=N] [--batch=K] [--threads=N] [--chains=K] [--out=DIR]
+//         [--moves=N] [--threads=N] [--chains=K] [--out=DIR]
 //         [--quiet]
 //
 // The design comes either from a named Table 1 benchmark (synthetic,
@@ -38,7 +38,6 @@ struct CliArgs {
   std::string out;
   std::uint64_t seed = 1;
   std::size_t moves = 0;
-  std::size_t batch = 0;    // 0 = from config / default
   std::size_t threads = 0;  // 0 = from config / default
   std::size_t chains = 0;   // 0 = from config / default
   // SIZE_MAX = from config / default (0 is meaningful: checks off).
@@ -73,8 +72,6 @@ void print_usage() {
       "                    256 in debug builds, 0 in release)\n"
       "  --seed=N          RNG seed (default 1)\n"
       "  --moves=N         SA moves (0 = auto)\n"
-      "  --batch=K         candidate moves scored per annealing step\n"
-      "                    (default 1; batches fan out across --threads)\n"
       "  --threads=N       worker threads per thermal engine (default 1;\n"
       "                    threaded solves are bitwise-identical to serial)\n"
       "  --chains=K        parallel-tempering annealing chains (default 1)\n"
@@ -114,8 +111,6 @@ CliArgs parse_args(int argc, char** argv) {
       args.seed = std::stoull(value("--seed="));
     else if (arg.rfind("--moves=", 0) == 0)
       args.moves = std::stoul(value("--moves="));
-    else if (arg.rfind("--batch=", 0) == 0)
-      args.batch = std::stoul(value("--batch="));
     else if (arg.rfind("--threads=", 0) == 0)
       args.threads = std::stoul(value("--threads="));
     else if (arg.rfind("--chains=", 0) == 0)
@@ -153,7 +148,6 @@ int main(int argc, char** argv) {
     if (!args.mode.empty() && !args.config.empty())
       config::apply_thermal(cfg, opt.thermal);  // keep thermal overrides
     if (args.moves > 0) opt.anneal.total_moves = args.moves;
-    if (args.batch > 0) opt.anneal.batch_candidates = args.batch;
     if (args.threads > 0) opt.parallel.threads = args.threads;
     if (args.chains > 0) opt.chains.chains = args.chains;
     if (args.solver == "sor")

@@ -293,56 +293,6 @@ BENCHMARK(BM_SolveSteadySharded)
     ->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Batched candidate evaluation: score 4 candidate power maps per
-/// iteration at 64x64 with a fixed sweep budget (tolerance unreachable,
-/// so every candidate costs exactly max_iterations red-black sweeps and
-/// the batch/sequential comparison is pure scheduling).  batch:1 runs
-/// the 4 solves sequentially through solve_steady -- the unbatched
-/// annealing loop -- while batch:4 scores them in ONE solve_steady_batch
-/// call whose per-candidate solves fan out across the worker pool.  CI
-/// gates batch:4/threads:4 at >= 1.5x over batch:1/threads:1
-/// (scripts/check_perf.py); batch:1/threads:4 (sequential solves with
-/// sharded sweeps) is reported for context.
-void BM_BatchedEval(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t g = 64;
-  constexpr std::size_t kCandidates = 4;
-  TechnologyConfig tech;
-  tech.die_width_um = tech.die_height_um = 4000.0;
-  ThermalConfig cfg;
-  cfg.grid_nx = cfg.grid_ny = g;
-  cfg.max_iterations = 20;  // fixed sweep budget ...
-  cfg.tolerance_k = 0.0;    // ... the stopping rule can never cut short
-  cfg.solver = SolverBackend::sor;  // fixed budget only makes sense in sweeps
-  thermal::ThermalEngine engine(tech, cfg, {.threads = threads});
-  std::vector<GridD> base(2, GridD(g, g, 0.0));
-  base[0].at(g / 2, g / 2) = 3.0;
-  const GridD tsv(g, g, 0.1);
-  (void)engine.solve_steady(base, tsv);  // prime assembly + warm field
-  std::vector<std::vector<GridD>> candidates(kCandidates, base);
-  for (std::size_t j = 0; j < kCandidates; ++j)
-    candidates[j][0].at((5 * j + 3) % g, (7 * j + 11) % g) += 0.2;
-  for (auto _ : state) {
-    if (batch > 1) {
-      const auto results = engine.solve_steady_batch(candidates, tsv);
-      benchmark::DoNotOptimize(results[0].peak_k);
-      engine.adopt_candidate(kCandidates - 1);
-    } else {
-      for (const std::vector<GridD>& candidate : candidates) {
-        const auto res = engine.solve_steady(candidate, tsv);
-        benchmark::DoNotOptimize(res.peak_k);
-      }
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kCandidates));
-}
-BENCHMARK(BM_BatchedEval)
-    ->ArgNames({"batch", "threads"})
-    ->Args({1, 1})->Args({1, 4})->Args({4, 4})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
 void BM_PowerBlurEstimate(benchmark::State& state) {
   TechnologyConfig tech;
   tech.die_width_um = tech.die_height_um = 4000.0;
@@ -478,14 +428,15 @@ BENCHMARK(BM_AnnealStepCheap)
 /// incremental:0 rescans every net and rebuilds every die span (the seed
 /// path).  scripts/check_perf.py gates incremental:1 over incremental:0
 /// at >= 5x.
-void BM_CheapEval(benchmark::State& state) {
-  const bool incremental = state.range(0) != 0;
+void cheap_eval_loop(benchmark::State& state, bool incremental,
+                     const floorplan::CostWeights& weights) {
   Floorplan3D fp = benchgen::generate(n800_spec(), 1);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 32;
   const thermal::GridSolver solver(fp.tech(), cfg);
   const thermal::PowerBlur blur(solver, 10);
   floorplan::CostEvaluator::Options eval_opt;
+  eval_opt.weights = weights;
   eval_opt.leakage_grid = 32;
   eval_opt.incremental = incremental;
   eval_opt.cross_check_interval = 0;  // measure the pipeline, not the guard
@@ -515,9 +466,23 @@ void BM_CheapEval(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
+
+void BM_CheapEval(benchmark::State& state) {
+  cheap_eval_loop(state, state.range(0) != 0,
+                  floorplan::power_aware_weights());
+}
 BENCHMARK(BM_CheapEval)
     ->ArgName("incremental")->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+/// BM_CheapEval/incremental:1 under the TSC-aware weights: the entropy
+/// term is on, so every evaluate_cheap() also builds each die's power
+/// map and its Eq. 3 spatial entropy -- the per-move leakage cost of the
+/// TSC flow, which the default-weight benches never pay.  Not gated.
+void BM_CheapEvalTsc(benchmark::State& state) {
+  cheap_eval_loop(state, true, floorplan::tsc_aware_weights());
+}
+BENCHMARK(BM_CheapEvalTsc)->Unit(benchmark::kMicrosecond);
 
 /// One-module perturbation -> hpwl_cached(): the dirty-net recompute plus
 /// the canonical re-sum, i.e. the per-move wirelength cost of the

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf gates for CI over a google-benchmark JSON report.
 
-Eleven checks, in order:
+Ten checks, in order:
 
 1. Warm-start gate (hard): the warm-started steady solve must be at
    least --min-warm-speedup (default 2.0) times faster than the cold
@@ -11,16 +11,7 @@ Eleven checks, in order:
    thread on the 128x128 grid -- the sweep-pool contract.  Skipped with
    a notice when the report has no sharded entries (machines without
    the benchmark) unless --require-scaling is given.
-3. Batched-eval gate (hard): scoring 4 candidates in one
-   solve_steady_batch call on 4 threads must be at least
-   --min-batch-speedup (default 1.5) times faster than the 4 sequential
-   solve_steady calls of the unbatched annealing loop (batch:1/threads:1)
-   at the 64x64 grid -- the field-pool contract since PR 4.  The
-   sharded-sequential comparison (batch:1/threads:4) is printed for
-   context but not gated (sweep sharding at 64x64 sits between serial
-   and candidate-parallel).  Skipped like the scaling gate when the
-   entries are missing, unless --require-scaling is given.
-4. Multigrid gate (hard): the V-cycle backend must solve the 128x128
+3. Multigrid gate (hard): the V-cycle backend must solve the 128x128
    field-cold steady state at least --min-mg-speedup (default 2.0)
    times faster than the SOR backend (BM_SolveSteadyCold/128 vs
    BM_SolveSteadyMultigrid/128) -- the solver-policy contract since
@@ -28,7 +19,7 @@ Eleven checks, in order:
    warm 64x64 gate (check 1) and the drift check keep the warm path
    honest at the same time.  Skipped like the scaling gate when the
    entries are missing, unless --require-scaling is given.
-5. FMG gate (hard): the FMG-seeded cold solve at 192x192 must be at
+4. FMG gate (hard): the FMG-seeded cold solve at 192x192 must be at
    least --min-fmg-speedup (default 2.0) times faster than the plain
    V-cycle cold path it replaced as the default
    (BM_SolveSteadyMultigrid/192 vs BM_SolveSteadyFmg/192) -- the
@@ -39,7 +30,7 @@ Eleven checks, in order:
    (1.6x at 128, >= 2.1x at 192 and 256 on the reference VM).  Skipped
    like the scaling gate when the entries are missing, unless
    --require-scaling is given.
-6. Transient-multigrid gate (hard): stiff implicit-Euler stepping
+5. Transient-multigrid gate (hard): stiff implicit-Euler stepping
    through the multigrid preconditioner (BM_TransientStiff/mg:1, a
    V-cycle on G + C/dt per step) must be at least
    --min-transient-mg-speedup (default 2.0) times faster than the
@@ -50,7 +41,7 @@ Eleven checks, in order:
    well below to absorb runner variance).  Skipped like the scaling
    gate when the entries are missing, unless --require-scaling is
    given.
-7. SIMD sweep gate (hard): the AVX2 red-black sweep kernel on a fixed
+6. SIMD sweep gate (hard): the AVX2 red-black sweep kernel on a fixed
    sweep budget at the L2-resident 64x64 grid (BM_SweepKernel/simd:1)
    must be at least --min-simd-speedup (default 1.05) times faster
    than the scalar kernel (simd:0) -- the vectorized-smoother contract
@@ -62,14 +53,14 @@ Eleven checks, in order:
    gate pins the cache-resident grid).  Skipped when the simd:1 entry
    is missing (hosts without AVX2 skip that benchmark), unless
    --require-scaling is given.
-8. Cheap-eval gate (hard): the incremental cheap evaluation at n800
+7. Cheap-eval gate (hard): the incremental cheap evaluation at n800
    (BM_CheapEval/incremental:1 -- per-net HPWL/delay caches plus
    dirty-die bounds, isolated from move proposal and repacking) must be
    at least --min-cheap-eval-speedup (default 5.0) times faster than
    the full-rescan path (incremental:0) -- the incremental-evaluation
    contract since PR 6.  Skipped like the scaling gate when the entries
    are missing, unless --require-scaling is given.
-9. Moves/sec gate (hard): the end-to-end annealing step loop at n800
+8. Moves/sec gate (hard): the end-to-end annealing step loop at n800
    with the incremental pipeline on (BM_AnnealStepCheap/incremental:1,
    routed through MoveTransaction since PR 7) must sustain at least
    --min-moves-per-sec moves per second (default 5500).  The PR 7
@@ -80,20 +71,20 @@ Eleven checks, in order:
    The step-level speedup over incremental:0 is printed for context.
    Skipped like the scaling gate when the entries are missing, unless
    --require-scaling is given.
-10. Reject-path gate (hard): the forced-reject move stream at n800
-    through MoveTransaction (BM_AnnealStepReject/transactional:1 --
-    stage, evaluate, roll the journaled caches back) must be at least
-    --min-reject-speedup (default 1.05) times faster than the classic
-    revert-and-repack pattern (transactional:0, which re-packs the
-    reverted die on the NEXT move's apply_to) -- the transactional-moves
-    contract since PR 7.  The margin is structurally modest: the PR 6
-    die stamps already confine the classic double pack to the one dirty
-    die and evaluation dirt dominates both paths, so the rollback saves
-    one ~12us repack plus the second die of eval dirt per rejection
-    (measured 1.09-1.29x across runs; the floor asserts the reject path
-    never pays MORE than classic).  Skipped like the scaling gate when
-    the entries are missing, unless --require-scaling is given.
-11. Baseline drift (soft by default): benchmarks present in both the
+9. Reject-path gate (hard): the forced-reject move stream at n800
+   through MoveTransaction (BM_AnnealStepReject/transactional:1 --
+   stage, evaluate, roll the journaled caches back) must be at least
+   --min-reject-speedup (default 1.05) times faster than the classic
+   revert-and-repack pattern (transactional:0, which re-packs the
+   reverted die on the NEXT move's apply_to) -- the transactional-moves
+   contract.  The margin is structurally modest: the incremental die
+   stamps already confine the classic double pack to the one dirty die
+   and evaluation dirt dominates both paths, so the rollback saves one
+   ~12us repack plus the second die of eval dirt per rejection
+   (measured 1.09-1.29x across runs; the floor asserts the reject path
+   never pays MORE than classic).  Skipped like the scaling gate when
+   the entries are missing, unless --require-scaling is given.
+10. Baseline drift (soft by default): benchmarks present in both the
     report and --baseline are compared; regressions beyond
     --max-regression (default 2.5x) fail the check.  The generous
     default tolerates CI-runner variance while still catching
@@ -192,7 +183,6 @@ def main():
     parser.add_argument("--min-warm-speedup", type=float, default=2.0)
     parser.add_argument("--min-scaling", type=float, default=1.8)
     parser.add_argument("--scaling-threads", type=int, default=4)
-    parser.add_argument("--min-batch-speedup", type=float, default=1.5)
     parser.add_argument("--min-mg-speedup", type=float, default=2.0)
     parser.add_argument("--min-fmg-speedup", type=float, default=2.0)
     parser.add_argument("--min-transient-mg-speedup", type=float, default=2.0)
@@ -243,25 +233,7 @@ def main():
                    f"sharded-sweep scaling {scaling:.2f}x at "
                    f"{args.scaling_threads} threads")
 
-    # --- 3. batched candidate evaluation ---------------------------------
-    seq = times.get("BM_BatchedEval/batch:1/threads:1/real_time")
-    sharded_seq = times.get("BM_BatchedEval/batch:1/threads:4/real_time")
-    batched = times.get("BM_BatchedEval/batch:4/threads:4/real_time")
-    if seq is None or batched is None:
-        log.skip("batched-eval", "batched-eval benchmarks missing from the "
-                 "report", hard=args.require_scaling)
-    else:
-        speedup = seq / batched
-        print(f"batched-eval: sequential {seq:.2f} vs batch-of-4 "
-              f"{batched:.2f} ({speedup:.2f}x, gate >= "
-              f"{args.min_batch_speedup:.1f}x)")
-        if sharded_seq is not None:
-            print(f"batched-eval: vs sharded-sequential {sharded_seq:.2f} "
-                  f"({sharded_seq / batched:.2f}x, informational)")
-        log.record("batched-eval", speedup, args.min_batch_speedup,
-                   f"batched-eval speedup {speedup:.2f}x")
-
-    # --- 4. multigrid vs SOR on field-cold 128x128 solves ----------------
+    # --- 3. multigrid vs SOR on field-cold 128x128 solves ----------------
     sor_cold = times.get("BM_SolveSteadyCold/128")
     mg_cold = times.get("BM_SolveSteadyMultigrid/128")
     if sor_cold is None or mg_cold is None:
@@ -275,7 +247,7 @@ def main():
         log.record("multigrid", speedup, args.min_mg_speedup,
                    f"multigrid speedup {speedup:.2f}x")
 
-    # --- 5. FMG vs plain V-cycle cold starts at 192x192 ------------------
+    # --- 4. FMG vs plain V-cycle cold starts at 192x192 ------------------
     plain_v = times.get("BM_SolveSteadyMultigrid/192")
     fmg = times.get("BM_SolveSteadyFmg/192")
     if plain_v is None or fmg is None:
@@ -289,7 +261,7 @@ def main():
         log.record("fmg", speedup, args.min_fmg_speedup,
                    f"FMG speedup {speedup:.2f}x")
 
-    # --- 6. multigrid-preconditioned stiff transients --------------------
+    # --- 5. multigrid-preconditioned stiff transients --------------------
     t_sor = times.get("BM_TransientStiff/mg:0")
     t_mg = times.get("BM_TransientStiff/mg:1")
     if t_sor is None or t_mg is None:
@@ -303,7 +275,7 @@ def main():
         log.record("transient-mg", speedup, args.min_transient_mg_speedup,
                    f"transient multigrid speedup {speedup:.2f}x")
 
-    # --- 7. SIMD vs scalar sweep kernel ----------------------------------
+    # --- 6. SIMD vs scalar sweep kernel ----------------------------------
     scalar = times.get("BM_SweepKernel/simd:0")
     simd = times.get("BM_SweepKernel/simd:1")
     if scalar is None or simd is None:
@@ -316,7 +288,7 @@ def main():
         log.record("simd-sweep", speedup, args.min_simd_speedup,
                    f"SIMD sweep speedup {speedup:.2f}x")
 
-    # --- 8. incremental cheap-eval speedup at n800 -----------------------
+    # --- 7. incremental cheap-eval speedup at n800 -----------------------
     full_eval = times.get("BM_CheapEval/incremental:0")
     inc_eval = times.get("BM_CheapEval/incremental:1")
     if full_eval is None or inc_eval is None:
@@ -330,7 +302,7 @@ def main():
         log.record("cheap-eval", speedup, args.min_cheap_eval_speedup,
                    f"cheap-eval speedup {speedup:.2f}x")
 
-    # --- 9. absolute annealing throughput at n800 ------------------------
+    # --- 8. absolute annealing throughput at n800 ------------------------
     step_name = "BM_AnnealStepCheap/incremental:1/real_time"
     step_seed = "BM_AnnealStepCheap/incremental:0/real_time"
     moves_per_sec = report.get(step_name, (None, None))[1]
@@ -347,7 +319,7 @@ def main():
         log.record("moves/sec", moves_per_sec, args.min_moves_per_sec,
                    f"annealing throughput {moves_per_sec:.0f} moves/sec")
 
-    # --- 10. reject-path speedup through MoveTransaction at n800 ---------
+    # --- 9. reject-path speedup through MoveTransaction at n800 ----------
     classic = times.get("BM_AnnealStepReject/transactional:0/real_time")
     txn = times.get("BM_AnnealStepReject/transactional:1/real_time")
     if classic is None or txn is None:
@@ -361,7 +333,7 @@ def main():
         log.record("reject-path", speedup, args.min_reject_speedup,
                    f"reject-path speedup {speedup:.2f}x")
 
-    # --- 11. drift against the committed baseline ------------------------
+    # --- 10. drift against the committed baseline -----------------------
     drift = []
     if args.baseline:
         baseline = load_times(args.baseline)

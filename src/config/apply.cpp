@@ -128,8 +128,6 @@ floorplan::FloorplannerOptions make_floorplanner_options(
                                         opt.hot_modules_to_top);
   opt.auto_clock_factor = cfg.get_double("floorplanning.auto_clock_factor",
                                          opt.auto_clock_factor);
-  opt.anneal.batch_candidates = cfg.get_size(
-      "floorplanning.batch_candidates", opt.anneal.batch_candidates);
   opt.anneal.inner_tolerance_scale =
       cfg.get_double("floorplanning.inner_tolerance_scale",
                      opt.anneal.inner_tolerance_scale);

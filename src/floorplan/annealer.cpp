@@ -219,8 +219,6 @@ void Annealer::random_move(LayoutState& s, Rng& rng, MoveRecord& rec) const {
     } else {
       std::swap(s.width[id], s.height[id]);
     }
-    rec.new_w = s.width[id];
-    rec.new_h = s.height[id];
     s.touch_die(s.die_of[id]);
     return;
   }
@@ -243,12 +241,8 @@ void Annealer::random_move(LayoutState& s, Rng& rng, MoveRecord& rec) const {
       rec.die_a = from;
       rec.die_b = to;
       s.die_sp[from].remove(id);
-      // The in-argument assignments capture the drawn slots for replay()
-      // without touching the argument evaluation order the unbatched
-      // move stream was calibrated against.
-      s.die_sp[to].insert(id,
-                          rec.ins_pos = rng.index(s.die_sp[to].size() + 1),
-                          rec.ins_neg = rng.index(s.die_sp[to].size() + 1));
+      s.die_sp[to].insert(id, rng.index(s.die_sp[to].size() + 1),
+                          rng.index(s.die_sp[to].size() + 1));
       s.die_of[id] = to;
       s.touch_die(from);
       s.touch_die(to);
@@ -278,12 +272,10 @@ void Annealer::random_move(LayoutState& s, Rng& rng, MoveRecord& rec) const {
       rec.old_neg_slot_b = slot(s.die_sp[db].negative(), b);
       s.die_sp[da].remove(a);
       s.die_sp[db].remove(b);
-      s.die_sp[db].insert(a,
-                          rec.ins_pos = rng.index(s.die_sp[db].size() + 1),
-                          rec.ins_neg = rng.index(s.die_sp[db].size() + 1));
-      s.die_sp[da].insert(b,
-                          rec.ins_pos_b = rng.index(s.die_sp[da].size() + 1),
-                          rec.ins_neg_b = rng.index(s.die_sp[da].size() + 1));
+      s.die_sp[db].insert(a, rng.index(s.die_sp[db].size() + 1),
+                          rng.index(s.die_sp[db].size() + 1));
+      s.die_sp[da].insert(b, rng.index(s.die_sp[da].size() + 1),
+                          rng.index(s.die_sp[da].size() + 1));
       s.die_of[a] = db;
       s.die_of[b] = da;
       s.touch_die(da);
@@ -452,9 +444,9 @@ void Annealer::stage_cool_and_escalate(AnnealSession& s) {
 }
 
 CostBreakdown Annealer::evaluate_move(AnnealSession& s, double move_factor) {
-  // The full/thermal/cheap cadence of the one-move-per-step loops; the
-  // transactional and classic branches share it so the refresh points --
-  // and therefore the measured values -- land move-for-move identically.
+  // The full/thermal/cheap cadence of the move loops; the transactional
+  // and classic branches share it so the refresh points -- and therefore
+  // the measured values -- land move-for-move identically.
   CostBreakdown c;
   ++s.since_thermal;
   if (++s.since_full >= opt_.full_eval_interval) {
@@ -476,8 +468,6 @@ CostBreakdown Annealer::evaluate_move(AnnealSession& s, double move_factor) {
 }
 
 bool Annealer::run_stage(AnnealSession& s, Rng& rng) {
-  if (opt_.batch_candidates > 1)
-    return run_stage_batched(s, rng, opt_.batch_candidates);
   if (s.stage >= opt_.stages) return false;
   LayoutState& state = *s.state;
   stage_refresh(s);
@@ -540,138 +530,6 @@ bool Annealer::run_stage(AnnealSession& s, Rng& rng) {
       }
     }
   }
-  stage_cool_and_escalate(s);
-  return true;
-}
-
-void Annealer::batched_step(AnnealSession& s, Rng& rng, std::size_t want,
-                            bool greedy) {
-  LayoutState& state = *s.state;
-  const bool txn_path = use_transactions(state);
-
-  // --- propose: k independent alternatives to the current state --------
-  // Each move is proposed against the same base state and immediately
-  // taken back, so the proposal RNG stream matches the unbatched path
-  // move for move.  The classic path snapshots a full LayoutState copy
-  // per candidate; the transactional path keeps only the MoveRecord
-  // (replayed below) and restores content AND die versions in place --
-  // k lightweight records instead of k deep copies.
-  std::vector<LayoutState> candidates;  // classic path only
-  std::vector<MoveRecord> recs;         // transactional path only
-  double batch_move_factor = 0.0;
-  if (txn_path) {
-    recs.reserve(want);
-    const std::vector<std::uint64_t> base_versions = state.die_version;
-    for (std::size_t j = 0; j < want; ++j) {
-      MoveRecord rec;
-      random_move(state, rng, rec);
-      if (rec.kind == MoveRecord::Kind::none) continue;
-      ++s.stats.moves;
-      batch_move_factor = std::max(batch_move_factor, move_size_factor(rec));
-      rec.revert_slots(state);
-      state.die_version = base_versions;
-      recs.push_back(rec);
-    }
-  } else {
-    candidates.reserve(want);
-    for (std::size_t j = 0; j < want; ++j) {
-      MoveRecord rec;
-      random_move(state, rng, rec);
-      if (rec.kind == MoveRecord::Kind::none) continue;
-      ++s.stats.moves;
-      candidates.push_back(state);
-      // One batched solve scores all candidates, so the schedule follows
-      // the widest-reaching move of the batch (max == the move's own
-      // factor at b == 1, keeping the k=1 path bitwise-identical).
-      batch_move_factor = std::max(batch_move_factor, move_size_factor(rec));
-      rec.revert(state);
-    }
-  }
-  const std::size_t b = txn_path ? recs.size() : candidates.size();
-  if (b == 0) return;
-
-  // --- pick the evaluation level for the whole batch --------------------
-  // The cadence counters advance by the batch size, so refreshes land at
-  // the same per-proposal rate as the unbatched loop; every candidate of
-  // a refresh step is evaluated at the refresh level.
-  s.since_thermal += b;
-  s.since_full += b;
-  CostEvaluator::EvalLevel level = CostEvaluator::EvalLevel::cheap;
-  if (s.since_full >= opt_.full_eval_interval) {
-    level = CostEvaluator::EvalLevel::full;
-    s.since_full = 0;
-    s.since_thermal = 0;
-    s.stats.full_evals += b;
-  } else if (opt_.thermal_eval_interval > 0 &&
-             s.since_thermal >= opt_.thermal_eval_interval) {
-    level = CostEvaluator::EvalLevel::thermal;
-    s.since_thermal = 0;
-    s.stats.full_evals += b;
-  }
-
-  // --- score all candidates in one evaluator batch ----------------------
-  if (level != CostEvaluator::EvalLevel::cheap)
-    apply_tolerance_schedule(s, batch_move_factor);
-  eval_.batch_begin(level, b);
-  if (txn_path) {
-    // Stage each proposal inside its own trial bracket: replay the move
-    // on the base state, publish it, capture the candidate's terms/maps,
-    // then roll everything back.  Each trial re-packs only its own
-    // move's dies (the classic path re-packs every die the PREVIOUS
-    // candidate touched as well, since the floorplan still holds it).
-    MoveTransaction txn(fp_, eval_);
-    for (const MoveRecord& rec : recs) {
-      txn.open(state);
-      rec.replay(state);
-      txn.stage();
-      eval_.batch_stage();
-      txn.rollback(rec);
-    }
-  } else {
-    for (const LayoutState& candidate : candidates) {
-      candidate.apply_to(fp_);
-      eval_.batch_stage();
-    }
-  }
-  const std::vector<CostBreakdown> costs = eval_.batch_evaluate();
-
-  // --- Metropolis over the batch, first accepted candidate wins ---------
-  // Candidates are alternatives to ONE base state, so at most one can be
-  // applied; walking them in proposal order and consuming acceptance
-  // randomness exactly like the unbatched loop keeps the step
-  // deterministic per seed (and bitwise-identical at b == 1).
-  std::size_t adopted = b - 1;  // engine warm field on no acceptance
-  for (std::size_t j = 0; j < b; ++j) {
-    const double delta = costs[j].total - s.current.total;
-    const bool accept =
-        delta <= 0.0 ||
-        (!greedy && rng.uniform() < std::exp(-delta / s.temperature));
-    if (!accept) continue;
-    ++s.stats.accepted;
-    if (txn_path) {
-      // Re-apply the winning proposal from its record (no randomness);
-      // the floorplan still holds the base layout and syncs on the next
-      // apply_to, exactly like the classic path defers its sync.
-      recs[j].replay(state);
-    } else {
-      state = std::move(candidates[j]);
-    }
-    s.current = costs[j];
-    track_best(s, costs[j]);
-    adopted = j;
-    break;
-  }
-  eval_.batch_adopt(adopted);
-}
-
-bool Annealer::run_stage_batched(AnnealSession& s, Rng& rng, std::size_t k) {
-  if (k == 0) k = 1;
-  if (s.stage >= opt_.stages) return false;
-  stage_refresh(s);
-
-  const bool greedy = s.stage >= s.annealed_stages;
-  for (std::size_t mv = 0; mv < s.moves_per_stage; mv += k)
-    batched_step(s, rng, std::min(k, s.moves_per_stage - mv), greedy);
   stage_cool_and_escalate(s);
   return true;
 }

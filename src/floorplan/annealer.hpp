@@ -118,16 +118,6 @@ struct AnnealOptions {
   /// total_moves as a greedy legalization pass that accepts only moves
   /// reducing the outline violation (ties broken by total cost).
   double repair_fraction = 0.25;
-  /// Candidate moves scored per annealing step.  With k > 1 each step
-  /// proposes k independent moves from the current state, scores them in
-  /// ONE CostEvaluator batch (the thermal solves fan out across the
-  /// engine's worker pool against a shared conductance assembly), and
-  /// applies the Metropolis rule over the batch in proposal order --
-  /// the first accepted candidate wins, the rest are discarded.  The
-  /// result is deterministic per seed; k == 1 keeps the classic
-  /// one-move-per-step path (and run_stage_batched(k=1) is
-  /// bitwise-identical to it, see tests/test_batched_eval.cpp).
-  std::size_t batch_candidates = 1;
   /// Adaptive tolerance for the detailed in-loop thermal solves: the
   /// maximum factor by which the engine's stopping tolerance is loosened
   /// while the search is hot.  Per refresh the annealer sets
@@ -209,29 +199,22 @@ class Annealer {
   /// walk, and return a session positioned before the first stage.
   AnnealSession begin(LayoutState& state, Rng& rng);
   /// Run one stage of moves (plus cooling and outline escalation).
-  /// Dispatches to the batched step loop when options().batch_candidates
-  /// exceeds 1.  Returns false without consuming randomness once all
-  /// stages ran.
+  /// Returns false without consuming randomness once all stages ran.
   bool run_stage(AnnealSession& session, Rng& rng);
-  /// The batched stage loop at an explicit batch size (run_stage uses
-  /// opt_.batch_candidates; exposed so tests can drive k = 1 through the
-  /// batched machinery and assert it bitwise-matches the unbatched path).
-  bool run_stage_batched(AnnealSession& session, Rng& rng, std::size_t k);
   /// Greedy legalization tail (if needed) + install the best state into
   /// `*session.state` and the floorplan; returns the final stats.
   AnnealStats finish(AnnealSession& session, Rng& rng);
 
  private:
-  /// Apply one random move and fill `rec` with enough data to revert it
-  /// (classic loops) or replay it without randomness (batched
-  /// transactional accept).  rec.kind == none means no move was possible.
+  /// Apply one random move and fill `rec` with enough data to revert it.
+  /// rec.kind == none means no move was possible.
   void random_move(LayoutState& state, Rng& rng, MoveRecord& rec) const;
   /// Thermal reach of a move kind, in (0, 1] (see
   /// AnnealOptions::inner_tolerance_scale).
   static double move_size_factor(const MoveRecord& rec);
-  /// Shared evaluation cadence of the one-move-per-step loops: full /
-  /// thermal / cheap by the session's interval counters.  Identical
-  /// arithmetic for the transactional and classic branches.
+  /// Shared evaluation cadence of the move loops: full / thermal / cheap
+  /// by the session's interval counters.  Identical arithmetic for the
+  /// transactional and classic branches.
   CostBreakdown evaluate_move(AnnealSession& session, double move_factor);
   /// True when run_stage/finish should route moves through
   /// MoveTransaction (see AnnealOptions::transactional).
@@ -246,10 +229,6 @@ class Annealer {
   void stage_cool_and_escalate(AnnealSession& session);
   /// Fold an accepted breakdown into the session's best tracking.
   static void track_best(AnnealSession& session, const CostBreakdown& c);
-  /// One batched step: propose up to `want` moves, score them as a
-  /// CostEvaluator batch, Metropolis over the batch in proposal order.
-  void batched_step(AnnealSession& session, Rng& rng, std::size_t want,
-                    bool greedy);
 
   Floorplan3D& fp_;
   CostEvaluator& eval_;

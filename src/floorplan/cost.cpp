@@ -134,12 +134,8 @@ bool CostEvaluator::in_trial() const { return fp_.in_trial(); }
 void CostEvaluator::scale_outline_weight(double factor) {
   // Raw-term caches store weight-independent values and combine() applies
   // the weights fresh per call, so no invalidation is needed -- but
-  // escalating inside a batch or trial bracket would price members of one
-  // comparison set under different weights.  Make that misuse loud.
-  if (batch_active_)
-    throw std::logic_error(
-        "CostEvaluator::scale_outline_weight: a batch is active -- staged "
-        "candidates were priced under the old weight");
+  // escalating inside a trial bracket would price the staged move and the
+  // current state under different weights.  Make that misuse loud.
   if (in_trial())
     throw std::logic_error(
         "CostEvaluator::scale_outline_weight: a move transaction is open -- "
@@ -181,7 +177,7 @@ void CostEvaluator::measure_cheap(CostBreakdown& c) {
   }
 }
 
-void CostEvaluator::measure_voltage_raw(CostBreakdown& c) {
+void CostEvaluator::measure_voltage(CostBreakdown& c) {
   power::VoltageAssigner assigner(fp_, timing_, opt_.voltage);
   const power::VoltageAssignment va = assigner.assign();
   // assign() rewrites Module::voltage_index, which scales every module
@@ -190,10 +186,6 @@ void CostEvaluator::measure_voltage_raw(CostBreakdown& c) {
   c.power_w = va.total_power_w;
   c.num_volumes = static_cast<double>(va.num_volumes());
   c.power_gradient = va.intra_density_stddev + va.inter_density_stddev;
-}
-
-void CostEvaluator::measure_voltage(CostBreakdown& c) {
-  measure_voltage_raw(c);
   cached_power_ = c.power_w;
   cached_volumes_ = c.num_volumes;
   cached_gradient_ = c.power_gradient;
@@ -322,152 +314,10 @@ CostBreakdown CostEvaluator::evaluate_full() {
   return c;
 }
 
-// --- batched scoring -----------------------------------------------------
-
-void CostEvaluator::batch_begin(EvalLevel level, std::size_t capacity) {
-  if (batch_active_)
-    throw std::logic_error("CostEvaluator: a batch is already active");
-  batch_level_ = level;
-  batch_.clear();
-  batch_.reserve(capacity);
-  batch_active_ = true;
-  batch_evaluated_ = false;
-}
-
-void CostEvaluator::batch_stage() {
-  if (!batch_active_ || batch_evaluated_)
-    throw std::logic_error("CostEvaluator: batch_stage needs an open batch");
-  BatchCandidate cand;
-  CostBreakdown& c = cand.c;
-  measure_cheap(c);
-
-  if (batch_level_ == EvalLevel::cheap) {
-    // Mirror evaluate_cheap: carry the cached expensive terms (entropy
-    // was measured live above when its weight is active), populating the
-    // caches inline on first contact.
-    c.peak_k_rise = cached_peak_rise_;
-    c.power_w = cached_power_;
-    c.num_volumes = cached_volumes_;
-    c.power_gradient = cached_gradient_;
-    c.correlation = cached_correlation_;
-    if (c.entropy.empty()) c.entropy = cached_entropy_;
-    if (!have_expensive_) {
-      measure_voltage(c);
-      measure_thermal(c);
-      have_expensive_ = true;
-    }
-  } else {
-    if (batch_level_ == EvalLevel::full) {
-      // Deferred caching: batch_adopt installs the selected candidate's
-      // values, so staging measures without touching the caches.
-      measure_voltage_raw(c);
-    } else if (!have_expensive_) {
-      measure_voltage(c);
-      have_expensive_ = true;
-    } else {
-      c.power_w = cached_power_;
-      c.num_volumes = cached_volumes_;
-      c.power_gradient = cached_gradient_;
-    }
-    // The front half of measure_thermal: place this candidate's signal
-    // TSVs, then capture the maps the batched solve and the leakage
-    // terms read.
-    tsv::place_signal_tsvs(fp_);
-    const std::size_t g = opt_.leakage_grid;
-    cand.power_maps.reserve(fp_.tech().num_dies);
-    for (std::size_t d = 0; d < fp_.tech().num_dies; ++d)
-      cand.power_maps.push_back(fp_.power_map(d, g, g));
-    cand.tsv_map = fp_.tsv_density_map(g, g);
-  }
-  batch_.push_back(std::move(cand));
-}
-
-std::vector<CostBreakdown> CostEvaluator::batch_evaluate() {
-  if (!batch_active_ || batch_evaluated_)
-    throw std::logic_error(
-        "CostEvaluator: batch_evaluate needs an open, unevaluated batch");
-
-  if (batch_level_ != EvalLevel::cheap && !batch_.empty()) {
-    // Detailed path: ONE batched engine call scores every candidate
-    // against the shared assembly (first candidate's TSV arrangement);
-    // each candidate warm-starts from the last adopted field.  The
-    // power-blurring path is stateless per candidate and uses each
-    // candidate's own TSV map.
-    std::vector<std::vector<GridD>> solved;
-    if (opt_.detailed_engine != nullptr) {
-      std::vector<std::vector<GridD>> powers;
-      powers.reserve(batch_.size());
-      for (const BatchCandidate& cand : batch_)
-        powers.push_back(cand.power_maps);
-      const std::vector<thermal::ThermalResult> results =
-          opt_.detailed_engine->solve_steady_batch(powers,
-                                                   batch_.front().tsv_map);
-      solved.reserve(results.size());
-      for (const thermal::ThermalResult& r : results)
-        solved.push_back(r.die_temperature);
-    } else {
-      solved.reserve(batch_.size());
-      for (const BatchCandidate& cand : batch_)
-        solved.push_back(blur_.estimate(cand.power_maps, cand.tsv_map));
-    }
-
-    // The back half of measure_thermal, per candidate.
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      CostBreakdown& c = batch_[i].c;
-      const std::vector<GridD>& temps = solved[i];
-      double peak = 0.0;
-      c.correlation.clear();
-      c.entropy.clear();
-      for (std::size_t d = 0; d < fp_.tech().num_dies; ++d) {
-        peak = std::max(peak, temps[d].max());
-        c.correlation.push_back(
-            leakage::pearson(batch_[i].power_maps[d], temps[d]));
-        c.entropy.push_back(leakage::spatial_entropy(batch_[i].power_maps[d],
-                                                     opt_.entropy_options));
-      }
-      c.peak_k_rise = std::max(0.0, peak - temps[0].min());
-    }
-  }
-
-  std::vector<CostBreakdown> out;
-  out.reserve(batch_.size());
-  for (BatchCandidate& cand : batch_) {
-    if (!norm_.ready) init_normalizers(cand.c);
-    cand.c.total = combine(cand.c);
-    out.push_back(cand.c);
-  }
-  batch_evaluated_ = true;
-  return out;
-}
-
-void CostEvaluator::batch_adopt(std::size_t index) {
-  if (!batch_active_ || !batch_evaluated_)
-    throw std::logic_error(
-        "CostEvaluator: batch_adopt needs an evaluated batch");
-  if (index >= batch_.size())
-    throw std::out_of_range("CostEvaluator: batch_adopt index out of range");
-  if (batch_level_ != EvalLevel::cheap) {
-    const CostBreakdown& c = batch_[index].c;
-    cached_peak_rise_ = c.peak_k_rise;
-    cached_correlation_ = c.correlation;
-    cached_entropy_ = c.entropy;
-    if (batch_level_ == EvalLevel::full) {
-      cached_power_ = c.power_w;
-      cached_volumes_ = c.num_volumes;
-      cached_gradient_ = c.power_gradient;
-      have_expensive_ = true;
-    }
-    if (opt_.detailed_engine != nullptr)
-      opt_.detailed_engine->adopt_candidate(index);
-  }
-  batch_active_ = false;
-  batch_evaluated_ = false;
-}
-
 CostEvaluator::CheckpointState CostEvaluator::checkpoint_state() const {
-  if (batch_active_ || in_trial())
+  if (in_trial())
     throw std::logic_error(
-        "CostEvaluator: cannot checkpoint inside a batch or trial bracket");
+        "CostEvaluator: cannot checkpoint inside a trial bracket");
   CheckpointState st;
   st.outline_weight = opt_.weights.outline;
   st.peak_rise = cached_peak_rise_;
@@ -492,9 +342,9 @@ CostEvaluator::CheckpointState CostEvaluator::checkpoint_state() const {
 }
 
 void CostEvaluator::restore_checkpoint_state(const CheckpointState& st) {
-  if (batch_active_ || in_trial())
+  if (in_trial())
     throw std::logic_error(
-        "CostEvaluator: cannot restore inside a batch or trial bracket");
+        "CostEvaluator: cannot restore inside a trial bracket");
   opt_.weights.outline = st.outline_weight;
   cached_peak_rise_ = st.peak_rise;
   cached_power_ = st.power;

@@ -120,39 +120,6 @@ class CostEvaluator {
   /// All terms: additionally re-runs the voltage assignment.
   [[nodiscard]] CostBreakdown evaluate_full();
 
-  /// Evaluation depth of one scoring call; the three levels correspond
-  /// to evaluate_cheap / evaluate_thermal / evaluate_full.
-  enum class EvalLevel { cheap, thermal, full };
-
-  // --- batched scoring ---------------------------------------------------
-  // Score k candidate layouts in one call, solving their thermal fields
-  // as ONE batched engine call against a shared conductance assembly
-  // (frozen to the first staged candidate's TSV arrangement; sibling
-  // candidates differ by one annealing move, so their TSV maps are near
-  // identical).  Protocol: batch_begin(level, k), then per candidate
-  // apply the layout to the floorplan and batch_stage(), then
-  // batch_evaluate() for the costs, then batch_adopt(i) with the
-  // selected candidate.  After adopt, the evaluator's cached expensive
-  // terms and the detailed engine's warm field are exactly what the
-  // corresponding evaluate_*() call on candidate i would have left
-  // behind -- a batch of one is bitwise-equivalent to the unbatched
-  // path (tests/test_batched_eval.cpp asserts it).
-
-  /// Start a batched evaluation at `level` (one active batch at a time).
-  void batch_begin(EvalLevel level, std::size_t capacity);
-  /// Capture the floorplan's CURRENT layout as the next candidate:
-  /// measures the cheap (and, at full level, voltage) terms now and
-  /// queues the power/TSV maps for the batched solve.
-  void batch_stage();
-  /// Solve the staged candidates' thermal terms and return one
-  /// breakdown per candidate, in staging order.
-  [[nodiscard]] std::vector<CostBreakdown> batch_evaluate();
-  /// Install candidate `index`'s expensive-term caches (and warm field,
-  /// when a detailed engine is wired) and close the batch.
-  void batch_adopt(std::size_t index);
-  /// Candidates staged in the active batch.
-  [[nodiscard]] std::size_t batch_size() const { return batch_.size(); }
-
   // --- trial (speculative) evaluation ------------------------------------
   // One bracket around a speculative move (see
   // floorplan/move_transaction.hpp): trial_begin() opens the journaling
@@ -163,9 +130,7 @@ class CostEvaluator {
   // expensive-term caches are refresh-cadence state that a rejected move
   // leaves untouched in the classic loop too, and the per-die layout-term
   // cache below is keyed on the cached bounds VALUES, so it self-heals
-  // after a rollback.  Trials do not nest and cannot overlap a batch
-  // bracket's begin (batched staging runs each candidate inside its own
-  // trial -- trial around batch_stage is the supported composition).
+  // after a rollback.  Trials do not nest.
 
   /// Open the speculative bracket (floorplan + timing journaling on).
   void trial_begin();
@@ -201,8 +166,8 @@ class CostEvaluator {
   };
 
   /// Snapshot the resumable state.  Throws std::logic_error while a
-  /// batch or trial bracket is open (checkpoints live at stage
-  /// boundaries, never mid-bracket).
+  /// trial bracket is open (checkpoints live at stage boundaries, never
+  /// mid-bracket).
   [[nodiscard]] CheckpointState checkpoint_state() const;
   /// Restore a snapshot taken by checkpoint_state().  Same bracket rule.
   void restore_checkpoint_state(const CheckpointState& st);
@@ -222,19 +187,12 @@ class CostEvaluator {
   /// Multiply the outline weight.  Safe between evaluations because
   /// combine() applies the weights fresh on every call and every raw-term
   /// cache in this class stores weight-INDEPENDENT values -- no cache
-  /// invalidation is needed.  Throws std::logic_error while a batch or a
-  /// trial bracket is open: staged candidates were priced under the old
-  /// weight and mixing weights within one comparison set is a bug.
+  /// invalidation is needed.  Throws std::logic_error while a trial
+  /// bracket is open: the staged move would be priced under the new
+  /// weight against a current cost priced under the old one.
   void scale_outline_weight(double factor);
 
  private:
-  /// One staged candidate of an active batch.
-  struct BatchCandidate {
-    CostBreakdown c;
-    std::vector<GridD> power_maps;  ///< per die, at leakage_grid
-    GridD tsv_map;
-  };
-
   void measure_cheap(CostBreakdown& c);
   /// The cheap layout terms (bbox/outline, wirelength, delay) by full
   /// rescan -- the seed path, kept verbatim as the incremental path's
@@ -245,9 +203,6 @@ class CostEvaluator {
   void measure_layout_terms_incremental(CostBreakdown& c);
   void measure_thermal(CostBreakdown& c);
   void measure_voltage(CostBreakdown& c);
-  /// measure_voltage without the cache update (batched staging defers
-  /// cache installation to batch_adopt).
-  void measure_voltage_raw(CostBreakdown& c);
   [[nodiscard]] double combine(const CostBreakdown& c) const;
   void init_normalizers(const CostBreakdown& c);
 
@@ -285,12 +240,6 @@ class CostEvaluator {
   std::vector<double> cached_correlation_;
   std::vector<double> cached_entropy_;
   bool have_expensive_ = false;
-
-  // Active batched evaluation (see batch_begin).
-  std::vector<BatchCandidate> batch_;
-  EvalLevel batch_level_ = EvalLevel::cheap;
-  bool batch_active_ = false;
-  bool batch_evaluated_ = false;
 
   // Adaptive normalizers (value of the first full evaluation).
   struct Normalizers {

@@ -3,8 +3,8 @@
 // Durable annealing checkpoints: everything a resumed exploration needs
 // to continue bitwise-identically to an uninterrupted run.  A checkpoint
 // is taken at a stage boundary (single chain) or an exchange barrier
-// (parallel tempering) -- the two places where no batch or trial bracket
-// is open and no move is half-applied -- and covers, per chain:
+// (parallel tempering) -- the two places where no trial bracket is open
+// and no move is half-applied -- and covers, per chain:
 //
 //   * the layout state and the tracked best (sequence pairs, extents,
 //     die assignment),
@@ -120,7 +120,7 @@ struct ExplorationHooks {
 /// Snapshot one chain at a stage boundary.  `engine` is the evaluator's
 /// detailed in-loop engine or null; `fp` is the chain's floorplan (for
 /// the voltage assignment).  Throws std::logic_error if the evaluator
-/// has an open batch or trial bracket.
+/// has an open trial bracket.
 [[nodiscard]] ChainCheckpoint capture_chain(const AnnealSession& session,
                                             const Rng& rng,
                                             const CostEvaluator& eval,

@@ -69,18 +69,16 @@ struct FloorplannerOptions {
   /// warm-started ThermalEngine solves at fast_grid resolution.  Closes
   /// the fast-vs-detailed quality gap the paper concedes (Sec. 6):
   /// across Table 1 it lowers the verified peak temperature.  On by
-  /// default since PR 5 -- warm starts, batched candidate fan-out, and
-  /// the move/temperature-aware tolerance schedule
-  /// (AnnealOptions::inner_tolerance_scale) keep the detailed loop
+  /// default: warm starts and the move/temperature-aware tolerance
+  /// schedule (AnnealOptions::inner_tolerance_scale) keep the detailed loop
   /// within ~1.1-1.3x of the blurred loop's runtime at an equal move
   /// budget (see README "Performance").  Set false to restore the
   /// paper's fast estimate.
   bool detailed_inner_thermal = true;
   /// Worker threads for every ThermalEngine the flow creates (fast,
-  /// sampling, verification): large single solves shard their sweeps,
-  /// and batched candidate evaluation (anneal.batch_candidates > 1)
-  /// fans its k solves across the same pool.  threads == 1 keeps
-  /// everything serial; threaded results are bitwise identical.
+  /// sampling, verification): large single solves shard their sweeps.
+  /// threads == 1 keeps everything serial; threaded results are bitwise
+  /// identical.
   thermal::ParallelConfig parallel;
   /// Parallel-tempering annealing: chains.chains > 1 replaces the single
   /// SA run with that many concurrent chains plus periodic replica

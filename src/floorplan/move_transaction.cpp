@@ -62,50 +62,6 @@ void MoveRecord::revert(LayoutState& s) const {
   }
 }
 
-void MoveRecord::replay(LayoutState& s) const {
-  // Mirrors the mutation order of Annealer::random_move exactly so the
-  // replayed sequence-pair content is bitwise-identical to the original
-  // proposal's.
-  switch (kind) {
-    case Kind::none:
-      break;
-    case Kind::swap_pos:
-      s.die_sp[die_a].swap_positive(slot_i, slot_j);
-      s.touch_die(die_a);
-      break;
-    case Kind::swap_neg:
-      s.die_sp[die_a].swap_negative(slot_i, slot_j);
-      s.touch_die(die_a);
-      break;
-    case Kind::swap_both:
-      s.die_sp[die_a].swap_both(module_a, module_b);
-      s.touch_die(die_a);
-      break;
-    case Kind::resize:
-      s.width[module_a] = new_w;
-      s.height[module_a] = new_h;
-      s.touch_die(s.die_of[module_a]);
-      break;
-    case Kind::transfer:
-      s.die_sp[die_a].remove(module_a);
-      s.die_sp[die_b].insert(module_a, ins_pos, ins_neg);
-      s.die_of[module_a] = die_b;
-      s.touch_die(die_a);
-      s.touch_die(die_b);
-      break;
-    case Kind::exchange:
-      s.die_sp[die_a].remove(module_a);
-      s.die_sp[die_b].remove(module_b);
-      s.die_sp[die_b].insert(module_a, ins_pos, ins_neg);
-      s.die_sp[die_a].insert(module_b, ins_pos_b, ins_neg_b);
-      s.die_of[module_a] = die_b;
-      s.die_of[module_b] = die_a;
-      s.touch_die(die_a);
-      s.touch_die(die_b);
-      break;
-  }
-}
-
 void MoveTransaction::open(LayoutState& state) {
   if (phase_ != Phase::idle)
     throw std::logic_error("MoveTransaction::open: transaction already open");

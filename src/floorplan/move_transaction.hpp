@@ -39,10 +39,8 @@
 
 namespace tsc3d::floorplan {
 
-/// Record of one annealing move: enough data to revert it (backward
-/// fields) or to re-apply it without consuming randomness (forward
-/// fields, used when the batched loop adopts a proposal that was staged
-/// and rolled back).  Filled by Annealer::random_move.
+/// Record of one annealing move: enough data to revert it.  Filled by
+/// Annealer::random_move.
 struct MoveRecord {
   enum class Kind { none, swap_pos, swap_neg, swap_both, resize, transfer,
                     exchange };
@@ -50,16 +48,9 @@ struct MoveRecord {
   std::size_t die_a = 0, die_b = 0;
   std::size_t slot_i = 0, slot_j = 0;
   std::size_t module_a = 0, module_b = 0;
-  // --- backward (revert) data -------------------------------------------
   double old_w = 0.0, old_h = 0.0;
   std::size_t old_pos_slot = 0, old_neg_slot = 0;
   std::size_t old_pos_slot_b = 0, old_neg_slot_b = 0;
-  // --- forward (replay) data --------------------------------------------
-  double new_w = 0.0, new_h = 0.0;          ///< resize: chosen extents
-  /// transfer: module_a's insertion slots in die_b; exchange: module_a's
-  /// insertion slots in die_b.
-  std::size_t ins_pos = 0, ins_neg = 0;
-  std::size_t ins_pos_b = 0, ins_neg_b = 0; ///< exchange: module_b in die_a
 
   /// Restore the pre-move die content WITHOUT re-dirtying the restored
   /// dies: the caller restores the die versions too (MoveTransaction
@@ -71,11 +62,6 @@ struct MoveRecord {
   /// touched dies (they will re-pack on the next apply_to).  Identical
   /// semantics to the pre-transaction undo records.
   void revert(LayoutState& s) const;
-
-  /// Re-apply the move from its recorded data, consuming no randomness;
-  /// touched dies get fresh versions.  s must hold the same base content
-  /// the move was originally proposed from.
-  void replay(LayoutState& s) const;
 };
 
 /// One speculative move against (state, floorplan, evaluator).  Reusable:

@@ -31,8 +31,7 @@
 //    branch-free red-black kernel (sweep_color_rows).
 //  * The engine drives the cycle: fine-level smoothing goes through its
 //    (possibly pool-sharded) sweep; everything below is serial and
-//    reads only the immutable hierarchy plus per-solve MgScratch, so
-//    batched candidates V-cycle concurrently.
+//    reads only the immutable hierarchy plus the engine's MgScratch.
 //
 // Determinism: coarsening, transfers, and smoothing are fixed-order
 // serial loops; the sharded fine sweep is bitwise-identical to serial.
@@ -75,8 +74,6 @@ class MultigridHierarchy {
 /// Per-solve V-cycle scratch: one halo-layout correction field and one
 /// compact restricted-residual rhs per coarse level, plus a shared
 /// compact residual buffer (sized for the fine level, the largest).
-/// Owned per solve context so batched candidates never share mutable
-/// state.
 struct MgScratch {
   struct Level {
     std::vector<double> field;  ///< halo layout, pads stay zero

@@ -1,11 +1,9 @@
 #include "thermal/thermal_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -90,14 +88,12 @@ class PhaseBarrier {
 // sweep_color_rows lives in sweep.cpp: a scalar kernel plus a
 // hand-vectorized AVX2 one (bitwise-identical) behind runtime dispatch.
 
-/// Persistent sweep workers.  One pool serves one engine; a job is
-/// either one color-phase of a red-black sweep (sharded by rows) or a
-/// batch of independent per-candidate solves (sharded by candidate via
-/// an atomic task counter).  The calling thread acts as shard 0 and
-/// threads - 1 std::jthreads take the rest; two barriers bracket every
-/// job, so no thread is spawned per sweep and the publication of the job
-/// description (and of the other color's node updates) is sequenced by
-/// the barrier synchronization.
+/// Persistent sweep workers.  One pool serves one engine; a job is one
+/// color-phase of a red-black sweep, sharded by rows.  The calling
+/// thread acts as shard 0 and threads - 1 std::jthreads take the rest;
+/// two barriers bracket every job, so no thread is spawned per sweep and
+/// the publication of the job description (and of the other color's
+/// node updates) is sequenced by the barrier synchronization.
 class ThermalEngine::SweepPool {
  public:
   explicit SweepPool(std::size_t threads)
@@ -124,18 +120,15 @@ class ThermalEngine::SweepPool {
 
   [[nodiscard]] std::size_t threads() const { return workers_.size() + 1; }
 
-  /// Sweep one color of the field `t`, sharded over `shards` row ranges
-  /// (workers beyond `shards` rendezvous with empty ranges); returns the
-  /// max node update.
+  /// Sweep one color of the field `t`, sharded over threads() row
+  /// ranges; returns the max node update.
   double sweep_color(const ThermalEngine& engine, double* t, int color,
-                     std::size_t rows, std::size_t shards, const double* rhs,
-                     const double* diag, double omega) {
-    job_ = Job::color;
+                     std::size_t rows, const double* rhs, const double* diag,
+                     double omega) {
     engine_ = &engine;
     field_ = t;
     color_ = color;
     rows_ = rows;
-    shards_ = std::max<std::size_t>(1, std::min(shards, threads()));
     rhs_ = rhs;
     diag_ = diag;
     omega_ = omega;
@@ -148,63 +141,25 @@ class ThermalEngine::SweepPool {
     return max_delta;
   }
 
-  /// Run fn(0) ... fn(count - 1) across the pool, the calling thread
-  /// included; tasks are claimed from an atomic counter, so any mix of
-  /// task durations load-balances.  The tasks must touch disjoint state.
-  /// Rethrows the first task exception after every thread rejoined.
-  void run_tasks(std::size_t count,
-                 const std::function<void(std::size_t)>& fn) {
-    std::vector<std::exception_ptr> errors(count);
-    job_ = Job::tasks;
-    task_fn_ = &fn;
-    task_count_ = count;
-    task_errors_ = &errors;
-    next_task_.store(0, std::memory_order_relaxed);
-    start_.arrive_and_wait();
-    run_task_loop();
-    done_.arrive_and_wait();
-    for (const std::exception_ptr& e : errors)
-      if (e) std::rethrow_exception(e);
-  }
-
  private:
-  enum class Job { color, tasks };
-
   /// Padded to a cache line so shards never write-share.
   struct alignas(64) ShardDelta {
     double value = 0.0;
   };
 
   void run_shard(std::size_t shard) {
-    // Clamp so shards beyond the job's width degenerate to empty ranges
-    // (they still rendezvous at the barriers, they just do no work).
-    const std::size_t n = shards_;
-    const std::size_t begin = rows_ * std::min(shard, n) / n;
-    const std::size_t end = rows_ * std::min(shard + 1, n) / n;
+    const std::size_t n = threads();
+    const std::size_t begin = rows_ * shard / n;
+    const std::size_t end = rows_ * (shard + 1) / n;
     shard_delta_[shard].value =
         engine_->sweep_rows(field_, color_, begin, end, rhs_, diag_, omega_);
-  }
-
-  void run_task_loop() {
-    for (std::size_t i;
-         (i = next_task_.fetch_add(1, std::memory_order_relaxed)) <
-         task_count_;) {
-      try {
-        (*task_fn_)(i);
-      } catch (...) {
-        (*task_errors_)[i] = std::current_exception();
-      }
-    }
   }
 
   void worker(const std::stop_token& st, std::size_t shard) {
     for (;;) {
       start_.arrive_and_wait();
       if (st.stop_requested()) return;
-      if (job_ == Job::tasks)
-        run_task_loop();
-      else
-        run_shard(shard);
+      run_shard(shard);
       done_.arrive_and_wait();
     }
   }
@@ -219,19 +174,13 @@ class ThermalEngine::SweepPool {
   }
 
   // Job description, written by the caller before the start barrier.
-  Job job_ = Job::color;
   const ThermalEngine* engine_ = nullptr;
   double* field_ = nullptr;
   int color_ = 0;
   std::size_t rows_ = 0;
-  std::size_t shards_ = 1;
   const double* rhs_ = nullptr;
   const double* diag_ = nullptr;
   double omega_ = 1.0;
-  const std::function<void(std::size_t)>* task_fn_ = nullptr;
-  std::size_t task_count_ = 0;
-  std::vector<std::exception_ptr>* task_errors_ = nullptr;
-  std::atomic<std::size_t> next_task_{0};
 
   std::vector<ShardDelta> shard_delta_;
   PhaseBarrier start_;
@@ -243,26 +192,20 @@ ThermalEngine::ThermalEngine(const TechnologyConfig& tech,
                              const ThermalConfig& cfg, ParallelConfig parallel,
                              EngineRole role)
     : tech_(tech), cfg_(cfg), stack_(build_stack(tech, cfg)), role_(role),
-      policy_(SolverPolicy::from_config(cfg, role)), parallel_(parallel) {
+      policy_(SolverPolicy::from_config(cfg, role)) {
   tech_.validate();
   cfg_.validate();
-  sweep_threads_ = parallel_.threads;
-  if (parallel_.min_nodes_per_thread > 0) {
+  sweep_threads_ = parallel.threads;
+  if (parallel.min_nodes_per_thread > 0) {
     // Cap the shard count so each thread has enough rows to amortize the
-    // two barrier rendezvous per color; below the floor single-solve
-    // sweeps simply run serial (same results either way).  Batched
-    // solves are NOT floored -- their unit of work is a whole solve.
+    // two barrier rendezvous per color; below the floor sweeps simply
+    // run serial (same results either way).
     const std::size_t nodes =
         stack_.layers.size() * cfg_.grid_nx * cfg_.grid_ny;
     sweep_threads_ = std::min(
         sweep_threads_,
-        std::max<std::size_t>(1, nodes / parallel_.min_nodes_per_thread));
+        std::max<std::size_t>(1, nodes / parallel.min_nodes_per_thread));
   }
-  // The eager pool is sized at the floored sweep width, so single-solve
-  // sweeps pay exactly the rendezvous they shard across.  The first
-  // batched solve widens it to the REQUESTED thread count (workers
-  // beyond sweep_threads_ then see empty sweep shards) -- see
-  // solve_steady_batch.
   if (sweep_threads_ > 1) pool_ = std::make_unique<SweepPool>(sweep_threads_);
 }
 
@@ -472,14 +415,13 @@ double ThermalEngine::sweep(double* t, const double* rhs, const double* diag,
   // may be sharded by rows; the barrier between colors preserves the
   // serial update order, so sharded and serial sweeps agree bitwise
   // (node updates are identical and the max reduction is order-free).
-  const bool shard = pool_ != nullptr && sweep_threads_ > 1;
   const std::size_t rows = asm_.nl * asm_.ny;
   double max_delta = 0.0;
   for (int color = 0; color < 2; ++color) {
     const double color_delta =
-        shard ? pool_->sweep_color(*this, t, color, rows, sweep_threads_,
-                                   rhs, diag, omega)
-              : sweep_color_rows(asm_, omega, t, color, 0, rows, rhs, diag);
+        pool_ != nullptr
+            ? pool_->sweep_color(*this, t, color, rows, rhs, diag, omega)
+            : sweep_color_rows(asm_, omega, t, color, 0, rows, rhs, diag);
     max_delta = std::max(max_delta, color_delta);
   }
   return max_delta;
@@ -552,12 +494,13 @@ void ThermalEngine::extract_field(const double* t,
   }
 }
 
-double ThermalEngine::vcycle(double* t, const double* rhs, const double* diag,
-                             MgScratch& scratch,
-                             const std::function<double()>& fine_sweep) const {
+double ThermalEngine::vcycle(double* t, const double* rhs,
+                             const double* diag) {
   const Assembly& fine = asm_;
+  MgScratch& scratch = *mg_scratch_;
   const std::size_t nu = policy_.mg_smooth_sweeps;
-  for (std::size_t i = 0; i < nu; ++i) (void)fine_sweep();
+  for (std::size_t i = 0; i < nu; ++i)
+    (void)sweep(t, rhs, diag, kSmoothOmega);
   mg_residual(fine, t, rhs, diag, scratch.resid.data());
   const Assembly& c0 = mg_->levels()[0].a;
   mg_restrict(fine, scratch.resid.data(), c0, scratch.level[0].rhs.data());
@@ -567,7 +510,8 @@ double ThermalEngine::vcycle(double* t, const double* rhs, const double* diag,
   // The last post-smoothing sweep doubles as the convergence measure:
   // the same per-node-update stopping rule the SOR backend uses.
   double delta = 0.0;
-  for (std::size_t i = 0; i < nu; ++i) delta = fine_sweep();
+  for (std::size_t i = 0; i < nu; ++i)
+    delta = sweep(t, rhs, diag, kSmoothOmega);
   return delta;
 }
 
@@ -588,11 +532,10 @@ void ThermalEngine::solve_field(double* t, const double* rhs, bool fmg_start,
       mg_fmg(asm_, *mg_, *mg_scratch_, rhs, t, nu, kSmoothOmega);
       result.fmg_started = true;
     }
-    const auto fine_sweep = [&] { return sweep(t, rhs, diag, kSmoothOmega); };
     double prev_delta = std::numeric_limits<double>::infinity();
     std::size_t stalled_cycles = 0;
     while (result.iterations < cfg_.max_iterations) {
-      const double delta = vcycle(t, rhs, diag, *mg_scratch_, fine_sweep);
+      const double delta = vcycle(t, rhs, diag);
       result.iterations += 2 * nu;  // fine-level sweeps of this cycle
       ++result.vcycles;
       result.residual_k = delta;
@@ -624,73 +567,6 @@ void ThermalEngine::solve_field(double* t, const double* rhs, bool fmg_start,
   } else {
     for (std::size_t it = 0; it < cfg_.max_iterations; ++it) {
       const double delta = sweep(t, rhs, diag, cfg_.sor_omega);
-      result.iterations = it + 1;
-      result.residual_k = delta;
-      if (delta < tol) {
-        result.converged = true;
-        break;
-      }
-    }
-  }
-}
-
-void ThermalEngine::solve_field_serial(double* t, const double* rhs,
-                                       MgScratch* mg, bool fmg_start,
-                                       ThermalResult& result) const {
-  const double* diag = asm_.diag_static.data();
-  const double tol = policy_.tolerance.tolerance_for(cfg_.tolerance_k);
-  const std::size_t rows = asm_.nl * asm_.ny;
-  const bool mg_on = policy_.backend == SolverBackend::multigrid &&
-                     mg_ != nullptr && mg_->usable() && mg != nullptr;
-  if (mg_on) {
-    mg_set_dt(*mg_, *mg, 0.0);
-    const std::size_t nu = policy_.mg_smooth_sweeps;
-    if (fmg_start) {
-      mg_fmg(asm_, *mg_, *mg, rhs, t, nu, kSmoothOmega);
-      result.fmg_started = true;
-    }
-    const auto fine_sweep = [&] {
-      return mg_smooth(asm_, t, rhs, diag, kSmoothOmega, 1);
-    };
-    double prev_delta = std::numeric_limits<double>::infinity();
-    std::size_t stalled_cycles = 0;
-    while (result.iterations < cfg_.max_iterations) {
-      const double delta = vcycle(t, rhs, diag, *mg, fine_sweep);
-      result.iterations += 2 * nu;
-      ++result.vcycles;
-      result.residual_k = delta;
-      if (delta < tol) {
-        result.converged = true;
-        break;
-      }
-      if (delta > kMgStallContraction * prev_delta) {
-        if (++stalled_cycles >= kMgStallCycles) {
-          result.mg_stalled = true;
-          break;
-        }
-      } else {
-        stalled_cycles = 0;
-      }
-      prev_delta = delta;
-    }
-    while (result.mg_stalled && result.iterations < cfg_.max_iterations) {
-      double delta = 0.0;
-      for (int color = 0; color < 2; ++color)
-        delta = std::max(delta, sweep_color_rows(asm_, cfg_.sor_omega, t,
-                                                 color, 0, rows, rhs, diag));
-      ++result.iterations;
-      result.residual_k = delta;
-      if (delta < tol) {
-        result.converged = true;
-        break;
-      }
-    }
-  } else {
-    for (std::size_t it = 0; it < cfg_.max_iterations; ++it) {
-      double delta = 0.0;
-      for (int color = 0; color < 2; ++color)
-        delta = std::max(delta, sweep_color_rows(asm_, cfg_.sor_omega, t,
-                                                 color, 0, rows, rhs, diag));
       result.iterations = it + 1;
       result.residual_k = delta;
       if (delta < tol) {
@@ -734,87 +610,6 @@ ThermalResult ThermalEngine::solve_steady(const std::vector<GridD>& die_power_w,
 
   extract_field(field(), result);
   return result;
-}
-
-std::vector<ThermalResult> ThermalEngine::solve_steady_batch(
-    const std::vector<std::vector<GridD>>& candidate_power_w,
-    const GridD& tsv_density, Start start) {
-  const std::size_t k = candidate_power_w.size();
-  if (k == 0) return {};
-  for (const std::vector<GridD>& power : candidate_power_w)
-    check_inputs(power, tsv_density);
-
-  const std::size_t reuses_before = stats_.assembly_reuses;
-  const Assembly& a = assembly_for(tsv_density);
-  ensure_hierarchy();
-  const bool reused = stats_.assembly_reuses > reuses_before;
-  const bool warm = start == Start::warm && field_valid_;
-  const bool mg_on = policy_.backend == SolverBackend::multigrid &&
-                     mg_ != nullptr && mg_->usable();
-  const bool fmg = !warm && fmg_active();
-
-  // Size the context pool and seed every candidate field from the
-  // engine's current field (the accepted state's solution) -- all on the
-  // calling thread, so the fanned-out tasks never allocate or touch
-  // shared mutable state.
-  if (contexts_.size() < k) contexts_.resize(k);
-  batch_size_ = k;
-  std::vector<ThermalResult> results(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    FieldContext& ctx = contexts_[i];
-    if (warm)
-      ctx.temp = temp_;  // reuses capacity after the first batch
-    else
-      ctx.temp.assign(temp_.size(), fmg ? 0.0 : cfg_.ambient_k);
-    ctx.rhs.resize(a.num_nodes());
-    fill_steady_rhs(candidate_power_w[i], ctx.rhs);
-    if (mg_on) {
-      if (ctx.mg == nullptr) ctx.mg = std::make_unique<MgScratch>();
-      ctx.mg->ensure(a, *mg_);
-    }
-    results[i].warm_started = warm;
-    results[i].assembly_reused = reused;
-  }
-
-  // Solve the candidates: one task per candidate, each sweeping its own
-  // context serially -- bitwise the same updates as an unbatched solve.
-  // Batching is the one workload that profits from every requested
-  // thread, so (re)create the pool at full width on first use; engines
-  // that never batch keep the narrower (or absent) sweep pool.
-  if (parallel_.threads > 1 && k > 1 &&
-      (pool_ == nullptr || pool_->threads() < parallel_.threads))
-    pool_ = std::make_unique<SweepPool>(parallel_.threads);
-  const auto solve_one = [&](std::size_t i) {
-    FieldContext& ctx = contexts_[i];
-    solve_field_serial(ctx.temp.data() + field_offset_, ctx.rhs.data(),
-                       ctx.mg.get(), fmg, results[i]);
-    extract_field(ctx.temp.data() + field_offset_, results[i]);
-  };
-  if (pool_ != nullptr && k > 1) {
-    pool_->run_tasks(k, solve_one);
-  } else {
-    for (std::size_t i = 0; i < k; ++i) solve_one(i);
-  }
-
-  ++stats_.batch_calls;
-  stats_.batch_candidates += k;
-  stats_.steady_solves += k;
-  if (warm) stats_.warm_starts += k;
-  for (const ThermalResult& r : results) {
-    stats_.total_sweeps += r.iterations;
-    stats_.vcycles += r.vcycles;
-    if (r.fmg_started) ++stats_.fmg_starts;
-    if (r.mg_stalled) ++stats_.mg_stalls;
-  }
-  return results;
-}
-
-void ThermalEngine::adopt_candidate(std::size_t index) {
-  if (index >= batch_size_)
-    throw std::out_of_range(
-        "ThermalEngine::adopt_candidate: index beyond the last batch");
-  temp_ = contexts_[index].temp;  // reuses capacity (sizes match)
-  field_valid_ = true;
 }
 
 FieldSnapshot ThermalEngine::save_field() const {
@@ -938,11 +733,7 @@ TransientResult ThermalEngine::solve_transient_feedback(
       double prev_delta = std::numeric_limits<double>::infinity();
       std::size_t stalled_cycles = 0;
       while (!step_converged && step_iters < cfg_.max_iterations) {
-        const auto fine_sweep = [&] {
-          return sweep(t, rhs_.data(), diag_.data(), kSmoothOmega);
-        };
-        delta = vcycle(t, rhs_.data(), diag_.data(), *mg_scratch_,
-                       fine_sweep);
+        delta = vcycle(t, rhs_.data(), diag_.data());
         step_iters += 2 * nu;
         ++out.final_state.vcycles;
         ++stats_.vcycles;

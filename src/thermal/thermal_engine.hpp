@@ -22,16 +22,9 @@
 //    red-black SOR backend, or a geometric multigrid V-cycle over a
 //    per-assembly hierarchy of coarsened conductance networks (see
 //    thermal/multigrid.hpp) that reuses the same red-black sweep as the
-//    smoother on every level -- so sweep sharding and batched solves
-//    work unchanged on the fine level.  A ToleranceSchedule lets hot
-//    loops trade stopping accuracy for sweeps per solve;
-//  * scores k candidate power maps against ONE shared assembly in a
-//    single call (solve_steady_batch): a pool of per-candidate solve
-//    contexts (temperature field + rhs scratch) is kept alive across
-//    batches, every context warm-starts from the engine's current field,
-//    and the k independent solves fan out across the same worker pool --
-//    one candidate per worker instead of one row shard per worker, so
-//    even grids too small for sweep sharding parallelize perfectly;
+//    smoother on every level -- so sweep sharding works unchanged on
+//    the fine level.  A ToleranceSchedule lets hot loops trade stopping
+//    accuracy for sweeps per solve;
 //  * reports solver effort (sweeps, convergence, residual, reuse) in
 //    ThermalResult / TransientResult so callers and benches can see what
 //    a solve actually cost.
@@ -262,14 +255,12 @@ class ThermalEngine {
 
   /// Cumulative reuse counters, for benches and diagnostics.
   struct Stats {
-    std::size_t steady_solves = 0;   ///< incl. every batched candidate
+    std::size_t steady_solves = 0;
     std::size_t transient_steps = 0;
     std::size_t warm_starts = 0;
     std::size_t assembly_builds = 0;
     std::size_t assembly_reuses = 0;
     std::size_t total_sweeps = 0;
-    std::size_t batch_calls = 0;       ///< solve_steady_batch invocations
-    std::size_t batch_candidates = 0;  ///< candidates summed over batches
     std::size_t vcycles = 0;           ///< multigrid V-cycles run
     std::size_t fmg_starts = 0;        ///< FMG-seeded cold solves
     std::size_t mg_stalls = 0;         ///< solves that fell back to SOR
@@ -323,33 +314,6 @@ class ThermalEngine {
       const std::vector<GridD>& die_power_w, const GridD& tsv_density,
       Start start = Start::warm);
 
-  /// Batched steady-state solve: score every candidate power-map set
-  /// against ONE conductance assembly (built from `tsv_density`, cached
-  /// as usual).  Each candidate solves on its own context -- a private
-  /// temperature field seeded from the engine's current field (with
-  /// Start::warm; ambient otherwise) plus private rhs scratch -- so the
-  /// k solves are independent and fan out across the worker pool, one
-  /// candidate per thread.  Candidate solves sweep serially within a
-  /// context, and a batch of one is bitwise-identical to solve_steady
-  /// (threaded single-solve sweeps are bitwise-identical to serial);
-  /// both hold for either solver backend.
-  ///
-  /// The engine's own field is NOT advanced: call adopt_candidate(i)
-  /// with the index the caller selected (e.g. the move the annealer
-  /// accepted) to make that candidate's solution the warm seed of
-  /// subsequent solves.  Contexts persist across batches, so steady-state
-  /// batch sizes allocate only on the first call.
-  [[nodiscard]] std::vector<ThermalResult> solve_steady_batch(
-      const std::vector<std::vector<GridD>>& candidate_power_w,
-      const GridD& tsv_density, Start start = Start::warm);
-
-  /// Make candidate `index` of the LAST solve_steady_batch call the
-  /// engine's temperature field (the warm seed of the next solve).
-  void adopt_candidate(std::size_t index);
-
-  /// Candidates scored by the last solve_steady_batch call.
-  [[nodiscard]] std::size_t last_batch_size() const { return batch_size_; }
-
   /// Copy of the engine's current temperature field (throws
   /// std::logic_error when no solve has produced one yet).
   [[nodiscard]] FieldSnapshot save_field() const;
@@ -388,17 +352,6 @@ class ThermalEngine {
   void reset();
 
  private:
-  /// One candidate's private solve state: a padded temperature field
-  /// plus rhs scratch and (for the multigrid backend) per-level
-  /// correction scratch.  Everything else a solve needs (the assembly,
-  /// the level hierarchy, the static diagonal) is shared read-only, so
-  /// contexts solve in parallel.
-  struct FieldContext {
-    std::vector<double> temp;
-    std::vector<double> rhs;
-    std::unique_ptr<MgScratch> mg;
-  };
-
   void check_inputs(const std::vector<GridD>& die_power_w,
                     const GridD& tsv_density) const;
   /// Return the cached assembly, rebuilding it iff `tsv_density` differs
@@ -423,28 +376,20 @@ class ThermalEngine {
   /// backend, usable hierarchy, policy flag on).  Decides the cold fill
   /// value: FMG builds the field from zero, SOR/V-cycle from ambient.
   [[nodiscard]] bool fmg_active() const;
-  /// Steady-state solve of one field through the policy backend with
-  /// strictly serial sweeps; writes iterations/residual/converged/
-  /// vcycles into `result`.  Touches no engine state beyond the shared
-  /// read-only assembly/hierarchy, so batched candidates run it
-  /// concurrently (each with its own `mg` scratch).  `fmg_start` means
-  /// the caller zero-filled `t` for an FMG cold start (fmg_active()).
-  void solve_field_serial(double* t, const double* rhs, MgScratch* mg,
-                          bool fmg_start, ThermalResult& result) const;
-  /// The engine's own steady solve loop: policy dispatch with sharded
-  /// fine-level sweeps.
+  /// The steady solve loop: policy dispatch with sharded fine-level
+  /// sweeps; writes iterations/residual/converged/vcycles into `result`.
+  /// `fmg_start` means the caller zero-filled `t` for an FMG cold start
+  /// (fmg_active()).
   void solve_field(double* t, const double* rhs, bool fmg_start,
                    ThermalResult& result);
   /// One multigrid V-cycle on the fine field `t` against the fine-level
   /// diagonal `diag` (diag_static for steady solves, the implicit-Euler
-  /// diagonal for transients -- the scratch's mg_set_dt state must
-  /// match).  `fine_sweep` performs one full red-black sweep on the fine
-  /// level (sharded or serial); coarse levels always smooth serially.
+  /// diagonal for transients -- mg_scratch_'s mg_set_dt state must
+  /// match).  Fine-level smoothing goes through sweep() (sharded when
+  /// the pool is active); coarse levels always smooth serially.
   /// Returns the last post-smoothing sweep's max node update (the
   /// convergence measure).
-  double vcycle(double* t, const double* rhs, const double* diag,
-                MgScratch& scratch,
-                const std::function<double()>& fine_sweep) const;
+  double vcycle(double* t, const double* rhs, const double* diag);
   /// Build `rhs` for a steady solve (power injection + boundary terms).
   void fill_steady_rhs(const std::vector<GridD>& die_power_w,
                        std::vector<double>& rhs) const;
@@ -464,20 +409,12 @@ class ThermalEngine {
   EngineRole role_ = EngineRole::verify;
   SolverPolicy policy_;
 
-  /// Persistent workers, serving both row-sharded sweeps and batched
-  /// per-candidate solves.  Created eagerly at the floored sweep width
-  /// when sharding is active (sweep_threads_ > 1); the first batched
-  /// solve widens it to the REQUESTED thread count -- a grid too small
-  /// to shard profitably still fans batch candidates across all
-  /// requested threads, because one task there is a whole solve, not
-  /// one sweep phase, while engines that never batch never pay
-  /// rendezvous for threads the sweep cannot use.  Absent when
-  /// parallel_.threads <= 1.
+  /// Persistent row-sharded sweep workers, sweep_threads_ wide.  Absent
+  /// when sweeps run serial (sweep_threads_ == 1).
   class SweepPool;
-  ParallelConfig parallel_;
   std::unique_ptr<SweepPool> pool_;
   /// Effective sweep-sharding width after the min_nodes_per_thread
-  /// floor; 1 keeps single-solve sweeps serial (see ParallelConfig).
+  /// floor; 1 keeps sweeps serial (see ParallelConfig).
   std::size_t sweep_threads_ = 1;
 
   Assembly asm_;
@@ -486,11 +423,9 @@ class ThermalEngine {
   std::vector<double> asm_tsv_;
 
   /// Coarsened-conductance hierarchy for the multigrid backend, built
-  /// lazily per assembly (invalidated whenever the assembly rebuilds)
-  /// and shared read-only by batched candidate solves.
+  /// lazily per assembly (invalidated whenever the assembly rebuilds).
   std::unique_ptr<MultigridHierarchy> mg_;
-  /// The engine's own per-level V-cycle scratch (batched candidates
-  /// carry their own in their FieldContext).
+  /// Per-level V-cycle scratch.
   std::unique_ptr<MgScratch> mg_scratch_;
 
   /// Temperature field in a halo layout: each row carries one pad column
@@ -507,11 +442,6 @@ class ThermalEngine {
   // Persistent scratch, sized on first use.
   std::vector<double> rhs_;
   std::vector<double> diag_;
-
-  /// Per-candidate solve contexts, kept alive across batches (the field
-  /// pool).  Only the first batch of a given size allocates.
-  std::vector<FieldContext> contexts_;
-  std::size_t batch_size_ = 0;  ///< candidates in the last batch
 
   Stats stats_;
 };

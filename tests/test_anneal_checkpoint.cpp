@@ -5,9 +5,9 @@
 // capture the complete annealing state (layout, RNG, cost normalizers,
 // stage counters, thermal warm field, per-chain tempering state).
 //
-// Covered paths: classic single chain, batched candidate evaluation
-// (k > 1), and parallel tempering; plus the observer property (saving
-// checkpoints perturbs nothing) and the resume-at-final-stage edge.
+// Covered paths: classic single chain and parallel tempering; plus the
+// observer property (saving checkpoints perturbs nothing) and the
+// resume-at-final-stage edge.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -129,12 +129,6 @@ void check_resume_bitwise(const FloorplannerOptions& opt,
 
 TEST(AnnealCheckpoint, ClassicPathResumesBitwise) {
   check_resume_bitwise(fast_options(), 7);
-}
-
-TEST(AnnealCheckpoint, BatchedPathResumesBitwise) {
-  FloorplannerOptions opt = fast_options();
-  opt.anneal.batch_candidates = 4;
-  check_resume_bitwise(opt, 11);
 }
 
 TEST(AnnealCheckpoint, TemperingPathResumesBitwise) {

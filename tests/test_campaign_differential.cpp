@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "attack/attacks.hpp"
 #include "attack/covert_channel.hpp"
@@ -44,6 +47,17 @@ constexpr const char* kConfig =
     "verify_grid = 24\n"
     "sampling_grid = 16\n";
 
+/// A fresh directory private to this test process.  Under `ctest -j`
+/// every test runs in its own process and each one builds the fixtures
+/// below, so a shared path would be removed under a sibling's feet.
+fs::path process_dir(const std::string& name) {
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       (name + "_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
 /// One real exploration, run once and shared by every test: the
 /// adapters are exercised against the floorplan a campaign would
 /// actually evaluate, not a synthetic fixture.
@@ -55,10 +69,7 @@ struct Exploration {
 
 const Exploration& exploration() {
   static const Exploration exp = [] {
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / "campaign_diff_exploration";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    const fs::path dir = process_dir("campaign_diff_exploration");
 
     Exploration e;
     e.job.benchmark = "n100";
@@ -361,10 +372,7 @@ TEST(CampaignDifferential, EvaluateScenarioComposesTheAdaptersExactly) {
   job.mitigation = "noise_injection";
   job.flavor = "power_aware";
 
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "campaign_diff_evaluate";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const fs::path dir = process_dir("campaign_diff_evaluate");
   const ScenarioResult res = evaluate_scenario(job, opt, dir / "e.ckp",
                                                dir / "e.res", nullptr, 4);
 

@@ -69,8 +69,7 @@ TEST(ConfigDocSync, ExtractionFindsBothSides) {
   // trivially equal) sets.
   EXPECT_GE(keys_handled_by_apply_cpp().size(), 20u);
   EXPECT_GE(keys_documented_in_config_md().size(), 20u);
-  EXPECT_EQ(keys_handled_by_apply_cpp().count("floorplanning.batch_candidates"),
-            1u);
+  EXPECT_EQ(keys_handled_by_apply_cpp().count("floorplanning.chains"), 1u);
 }
 
 TEST(ConfigDocSync, EveryHandledKeyIsDocumented) {

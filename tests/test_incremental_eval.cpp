@@ -4,14 +4,14 @@
 //    ElmoreTiming::analyze_cached must stay BITWISE-equal to the full
 //    rescans through thousands of randomized mixed moves (sequence
 //    swaps, resizes, transfers, exchanges), including reverts and
-//    batched-style snapshot/restore staging across LayoutState copies;
-//  * whole annealing runs (classic and batched) with the incremental
-//    pipeline ON must bitwise-reproduce runs with it OFF -- same RNG
-//    stream, same accepts, same best layout;
+//    staging across LayoutState copies;
+//  * whole annealing runs with the incremental pipeline ON must
+//    bitwise-reproduce runs with it OFF -- same RNG stream, same
+//    accepts, same best layout;
 //  * the debug cross-check must stay silent on a clean run and throw
 //    std::logic_error when layout writes bypass note_module_moved;
 //  * the IncrementalEvalParallel suite drives incremental state through
-//    batched parallel-tempering chains (runs under TSan on CI).
+//    parallel-tempering chains (runs under TSan on CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,10 +170,10 @@ TEST(IncrementalEval, MixedMovesWithRevertsKeepCachesExact) {
   }
 }
 
-TEST(IncrementalEval, BatchedStagingAcrossCopiesKeepsCachesExact) {
-  // The batched path snapshots the base state, applies candidate copies,
-  // and finally adopts one (or re-applies the base): stamps must keep
-  // every write exact across the copy family.
+TEST(IncrementalEval, StagingAcrossCopiesKeepsCachesExact) {
+  // Tempering exchanges and best-state reinstalls apply copies of one
+  // state family to one floorplan: stamps must keep every write exact
+  // across the copy family.
   Floorplan3D fp = small_instance(8);
   Rng rng(23);
   fpn::LayoutState base = fpn::LayoutState::initial(fp, rng);
@@ -239,11 +239,10 @@ void expect_same_outcome(const AnnealOutcome& a, const AnnealOutcome& b) {
 
 /// One full anneal; `incremental` toggles the whole pipeline exactly as
 /// the floorplanner does (evaluator dispatch AND dirty-die packing).
-/// k == 0 is the classic step loop, k > 1 the batched one.
-/// `transactional` routes moves through MoveTransaction (PR 7) or the
-/// classic apply/revert/apply loops.
-AnnealOutcome run_anneal(bool incremental, std::size_t k,
-                         std::uint64_t seed, bool transactional = true) {
+/// `transactional` routes moves through MoveTransaction or the classic
+/// apply/revert/apply loops.
+AnnealOutcome run_anneal(bool incremental, std::uint64_t seed,
+                         bool transactional = true) {
   Floorplan3D fp = small_instance(4);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
@@ -265,16 +264,8 @@ AnnealOutcome run_anneal(bool incremental, std::size_t k,
   Rng rng(seed);
   fpn::LayoutState state = fpn::LayoutState::initial(fp, rng);
   if (!incremental) state.disable_tracking();  // end-to-end seed path
-  fpn::AnnealSession session = annealer.begin(state, rng);
-  if (k == 0) {
-    while (annealer.run_stage(session, rng)) {
-    }
-  } else {
-    while (annealer.run_stage_batched(session, rng, k)) {
-    }
-  }
   AnnealOutcome out;
-  out.stats = annealer.finish(session, rng);
+  out.stats = annealer.run(state, rng);
   out.width = state.width;
   out.height = state.height;
   out.die_of = state.die_of;
@@ -290,11 +281,7 @@ TEST(IncrementalEval, FullRunBitwiseMatchesNonIncremental) {
   // The tentpole's acceptance contract: the incremental pipeline must be
   // an optimization, not a behavior change -- whole runs agree bit for
   // bit with the rescan-everything path.
-  expect_same_outcome(run_anneal(true, 0, 33), run_anneal(false, 0, 33));
-}
-
-TEST(IncrementalEval, BatchedRunBitwiseMatchesNonIncremental) {
-  expect_same_outcome(run_anneal(true, 4, 21), run_anneal(false, 4, 21));
+  expect_same_outcome(run_anneal(true, 33), run_anneal(false, 33));
 }
 
 TEST(IncrementalEval, TransactionalRunBitwiseMatchesRevertLoop) {
@@ -302,15 +289,8 @@ TEST(IncrementalEval, TransactionalRunBitwiseMatchesRevertLoop) {
   // (speculative stage -> evaluate -> commit/rollback) must reproduce
   // the classic incremental apply/revert/apply loop bit for bit,
   // including the RNG stream position (rng_after probes it).
-  expect_same_outcome(run_anneal(true, 0, 33, true),
-                      run_anneal(true, 0, 33, false));
-}
-
-TEST(IncrementalEval, TransactionalBatchedRunBitwiseMatchesCopyLoop) {
-  // Batched flavor: k record/replay transactions against one base state
-  // must match the k-deep-copies staging loop bit for bit.
-  expect_same_outcome(run_anneal(true, 4, 21, true),
-                      run_anneal(true, 4, 21, false));
+  expect_same_outcome(run_anneal(true, 33, true),
+                      run_anneal(true, 33, false));
 }
 
 // ---------------------------------------------------------------------------
@@ -397,7 +377,7 @@ TEST(MoveTransaction, EscalationBetweenCachedEvalsStaysExact) {
               1e-9 * std::max(1.0, std::abs(before.total)));
 }
 
-TEST(MoveTransaction, EscalationRefusedMidTrialAndMidBatch) {
+TEST(MoveTransaction, EscalationRefusedMidTrial) {
   Floorplan3D fp = small_instance(6);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
@@ -414,13 +394,6 @@ TEST(MoveTransaction, EscalationRefusedMidTrialAndMidBatch) {
   eval.trial_begin();
   EXPECT_THROW(eval.scale_outline_weight(2.0), std::logic_error);
   eval.trial_rollback();
-  EXPECT_NO_THROW(eval.scale_outline_weight(2.0));
-
-  eval.batch_begin(fpn::CostEvaluator::EvalLevel::cheap, 1);
-  EXPECT_THROW(eval.scale_outline_weight(2.0), std::logic_error);
-  eval.batch_stage();
-  (void)eval.batch_evaluate();
-  eval.batch_adopt(0);
   EXPECT_NO_THROW(eval.scale_outline_weight(2.0));
 }
 
@@ -502,7 +475,7 @@ TEST(MoveTransaction, TrackingOnOffBitwiseAtN1000) {
 // ---------------------------------------------------------------------------
 
 TEST(MoveTransactionParallel, TransactionalChainsMatchRevertPathUnderThreads) {
-  // Transactions under batched parallel tempering: threaded and
+  // Transactions under parallel tempering: threaded and
   // sequential chain scheduling must agree, and both must equal the
   // transactional-OFF (classic revert) pipeline.  Runs under TSan on CI.
   auto run_once = [](bool parallel, bool transactional) {
@@ -517,7 +490,6 @@ TEST(MoveTransactionParallel, TransactionalChainsMatchRevertPathUnderThreads) {
     s.anneal.stages = 5;
     s.anneal.full_eval_interval = 150;
     s.anneal.thermal_eval_interval = 9;
-    s.anneal.batch_candidates = 3;
     s.anneal.transactional = transactional;
     s.chains.chains = 3;
     s.chains.exchange_interval = 2;
@@ -543,8 +515,8 @@ TEST(MoveTransactionParallel, TransactionalChainsMatchRevertPathUnderThreads) {
 
 // ---------------------------------------------------------------------------
 
-TEST(IncrementalEvalParallel, BatchedChainsDeterministicAndMatchSeedPath) {
-  // Incremental state flowing through batched parallel-tempering chains:
+TEST(IncrementalEvalParallel, ChainsDeterministicAndMatchSeedPath) {
+  // Incremental state flowing through parallel-tempering chains:
   // threaded and sequential scheduling must agree exactly, a threaded
   // repeat must agree, and the whole thing must equal the
   // rescan-everything pipeline.  Runs under TSan on CI.
@@ -561,7 +533,6 @@ TEST(IncrementalEvalParallel, BatchedChainsDeterministicAndMatchSeedPath) {
     s.anneal.stages = 5;
     s.anneal.full_eval_interval = 150;
     s.anneal.thermal_eval_interval = 9;
-    s.anneal.batch_candidates = 3;
     s.chains.chains = 3;
     s.chains.exchange_interval = 2;
     s.chains.ladder_ratio = 4.0;

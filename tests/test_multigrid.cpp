@@ -4,8 +4,7 @@
 // at tolerance_k = 1e-6 -- the same bound the warm/cold tests use),
 // converge in far fewer fine-level sweeps on cold solves, fall back to
 // SOR on grids that cannot coarsen, and stay BITWISE deterministic
-// across thread counts and through the batched field-pool path.  The
-// *Parallel suite also runs under TSan on CI.
+// across thread counts.  The *Parallel suite also runs under TSan on CI.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -292,31 +291,6 @@ TEST(ThermalEngineMultigrid, ToleranceScaleClampsBelowOne) {
   EXPECT_DOUBLE_EQ(sched.tolerance_for(1e-4), 8e-4);
 }
 
-// --- batched field-pool path ---------------------------------------------
-
-TEST(ThermalEngineMultigrid, BatchOfOneBitwiseMatchesSolveSteady) {
-  constexpr std::size_t g = 20;
-  auto power = test_power(g);
-  const GridD tsv = test_tsv(g);
-  ThermalEngine a(test_tech(), test_thermal(g, SolverBackend::multigrid));
-  ThermalEngine b(test_tech(), test_thermal(g, SolverBackend::multigrid));
-  (void)a.solve_steady(power, tsv);
-  (void)b.solve_steady(power, tsv);
-
-  power[0].at(3, 9) = 0.9;
-  const ThermalResult direct = a.solve_steady(power, tsv);
-  const std::vector<ThermalResult> batch =
-      b.solve_steady_batch({power}, tsv);
-  ASSERT_EQ(batch.size(), 1u);
-  expect_bitwise_equal(direct, batch[0]);
-  b.adopt_candidate(0);
-
-  // And the adopted field warms the next solve identically.
-  power[0].at(3, 9) = 1.3;
-  expect_bitwise_equal(a.solve_steady(power, tsv),
-                       b.solve_steady(power, tsv));
-}
-
 // --- thread determinism (runs under TSan on CI) --------------------------
 
 TEST(ThermalEngineMultigridParallel, ColdSolveBitwiseAcrossThreadCounts) {
@@ -352,33 +326,6 @@ TEST(ThermalEngineMultigridParallel, WarmSequenceBitwiseAcrossThreads) {
   }
   EXPECT_EQ(serial.stats().total_sweeps, sharded.stats().total_sweeps);
   EXPECT_EQ(serial.stats().vcycles, sharded.stats().vcycles);
-}
-
-TEST(ThermalEngineMultigridParallel, BatchedCandidatesBitwiseAcrossThreads) {
-  constexpr std::size_t g = 20;
-  constexpr std::size_t k = 4;
-  const auto base = test_power(g);
-  const GridD tsv = test_tsv(g);
-  std::vector<std::vector<GridD>> candidates(k, base);
-  for (std::size_t j = 0; j < k; ++j)
-    candidates[j][0].at((3 * j + 2) % g, (5 * j + 1) % g) += 0.3;
-
-  ThermalEngine serial(test_tech(), test_thermal(g, SolverBackend::multigrid));
-  (void)serial.solve_steady(base, tsv);
-  const std::vector<ThermalResult> ref =
-      serial.solve_steady_batch(candidates, tsv);
-
-  for (const std::size_t threads : {2u, 4u}) {
-    ThermalEngine pooled(test_tech(),
-                         test_thermal(g, SolverBackend::multigrid),
-                         {.threads = threads, .min_nodes_per_thread = 1});
-    (void)pooled.solve_steady(base, tsv);
-    const std::vector<ThermalResult> out =
-        pooled.solve_steady_batch(candidates, tsv);
-    ASSERT_EQ(out.size(), ref.size());
-    for (std::size_t j = 0; j < k; ++j)
-      expect_bitwise_equal(ref[j], out[j]);
-  }
 }
 
 }  // namespace
