@@ -34,7 +34,6 @@ struct CliArgs {
   std::string blocks, nets, pl, power;
   std::string mode;  // empty = from config / default
   std::string solver;  // empty = from config / default
-  std::string incremental;  // empty = from config / default
   std::string out;
   std::uint64_t seed = 1;
   std::size_t moves = 0;
@@ -62,10 +61,6 @@ void print_usage() {
       "  --solver=NAME     steady-state thermal backend: auto (default;\n"
       "                    picks per engine role), sor, or multigrid\n"
       "                    (V-cycles + FMG; wins on cold/large solves)\n"
-      "  --incremental=on|off\n"
-      "                    incremental move evaluation (dirty-die repack +\n"
-      "                    cached wirelength/delay/outline; default on,\n"
-      "                    bitwise-identical results either way)\n"
       "  --cross-check=N   every Nth incremental cheap evaluation, verify\n"
       "                    the cached terms against a full rescan and abort\n"
       "                    on any bitwise mismatch (0 = off; defaults to\n"
@@ -103,8 +98,6 @@ CliArgs parse_args(int argc, char** argv) {
     else if (arg.rfind("--power=", 0) == 0) args.power = value("--power=");
     else if (arg.rfind("--mode=", 0) == 0) args.mode = value("--mode=");
     else if (arg.rfind("--solver=", 0) == 0) args.solver = value("--solver=");
-    else if (arg.rfind("--incremental=", 0) == 0)
-      args.incremental = value("--incremental=");
     else if (arg.rfind("--cross-check=", 0) == 0)
       args.cross_check = std::stoul(value("--cross-check="));
     else if (arg.rfind("--seed=", 0) == 0)
@@ -159,12 +152,6 @@ int main(int argc, char** argv) {
     else if (!args.solver.empty())
       throw std::runtime_error(
           "--solver must be 'auto', 'sor' or 'multigrid'");
-    if (args.incremental == "on")
-      opt.incremental_eval = true;
-    else if (args.incremental == "off")
-      opt.incremental_eval = false;
-    else if (!args.incremental.empty())
-      throw std::runtime_error("--incremental must be 'on' or 'off'");
     if (args.cross_check != static_cast<std::size_t>(-1))
       opt.cross_check_interval = args.cross_check;
 

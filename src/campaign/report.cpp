@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "campaign/pareto.hpp"
-#include "service/serialize.hpp"
+#include "service/frame.hpp"
 #include "service/version.hpp"
 
 namespace tsc3d::campaign {
@@ -33,22 +32,6 @@ std::vector<ParetoPoint> points_for_attack(
     if (jobs[i].scenario == attack)
       points.push_back({results[i].leakage, results[i].overhead, i});
   return points;
-}
-
-void write_atomic(const std::filesystem::path& path,
-                  const std::string& content) {
-  const std::filesystem::path tmp = service::unique_tmp_path(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("write_report: cannot open " + tmp.string());
-    out.write(content.data(), static_cast<std::streamsize>(content.size()));
-    out.flush();
-    if (!out)
-      throw std::runtime_error("write_report: write failed on " +
-                               tmp.string());
-  }
-  std::filesystem::rename(tmp, path);
 }
 
 void check_aligned(const std::vector<service::JobSpec>& jobs,
@@ -154,9 +137,10 @@ void write_report(const std::filesystem::path& dir, const CampaignOptions& opt,
                   const std::vector<ScenarioResult>& results) {
   check_aligned(jobs, results);
   std::filesystem::create_directories(dir);
-  write_atomic(dir / "scenarios.csv", render_scenarios_csv(jobs, results));
-  write_atomic(dir / "pareto.csv", render_pareto_csv(jobs, results));
-  write_atomic(dir / "SUMMARY.txt", render_summary(opt, jobs, results));
+  using service::write_file_atomic;
+  write_file_atomic(dir / "scenarios.csv", render_scenarios_csv(jobs, results));
+  write_file_atomic(dir / "pareto.csv", render_pareto_csv(jobs, results));
+  write_file_atomic(dir / "SUMMARY.txt", render_summary(opt, jobs, results));
 }
 
 }  // namespace tsc3d::campaign

@@ -1,36 +1,31 @@
 #include "campaign/scenario_io.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <sstream>
-#include <vector>
 
-#include "service/serialize.hpp"
+#include "service/frame.hpp"
 #include "service/version.hpp"
 
 namespace tsc3d::campaign {
 
 namespace {
 
-constexpr char kMagic[8] = {'T', 'S', 'C', '3', 'D', 'S', 'C', 'N'};
+constexpr service::FrameFormat kFrame{
+    {'T', 'S', 'C', '3', 'D', 'S', 'C', 'N'}, service::kScenarioFormatVersion,
+    "scenario"};
 
-void put_context(service::ByteWriter& w, const ScenarioContext& ctx) {
-  w.u64(ctx.exploration.design_hash);
-  w.u64(ctx.exploration.config_hash);
-  w.u64(ctx.exploration.seed);
-  w.str(ctx.exploration.code_version);
+void put_scenario_context(service::ByteWriter& w,
+                          const ScenarioContext& ctx) {
+  service::put_context(w, ctx.exploration);
   w.str(ctx.attack);
   w.str(ctx.mitigation);
   w.str(ctx.flavor);
   w.u64(ctx.params_hash);
 }
 
-ScenarioContext get_context(service::ByteReader& r) {
+ScenarioContext get_scenario_context(service::ByteReader& r) {
   ScenarioContext ctx;
-  ctx.exploration.design_hash = r.u64();
-  ctx.exploration.config_hash = r.u64();
-  ctx.exploration.seed = r.u64();
-  ctx.exploration.code_version = r.str();
+  ctx.exploration = service::get_context(r);
   ctx.attack = r.str();
   ctx.mitigation = r.str();
   ctx.flavor = r.str();
@@ -43,7 +38,7 @@ ScenarioContext get_context(service::ByteReader& r) {
 void save_scenario_file(const std::filesystem::path& path,
                         const ScenarioResult& res) {
   service::ByteWriter payload;
-  put_context(payload, res.context);
+  put_scenario_context(payload, res.context);
   payload.boolean(res.legal);
   payload.f64(res.wirelength_m);
   payload.f64(res.power_w);
@@ -59,74 +54,17 @@ void save_scenario_file(const std::filesystem::path& path,
   payload.f64(res.spatial_entropy_max);
   payload.f64(res.leakage);
   payload.f64(res.overhead);
-
-  service::ByteWriter file;
-  for (const char m : kMagic) file.u8(static_cast<std::uint8_t>(m));
-  file.u64(service::kScenarioFormatVersion);
-  file.u64(payload.bytes().size());
-  file.u64(service::fnv1a64(payload.bytes().data(), payload.bytes().size()));
-
-  const std::filesystem::path tmp = service::unique_tmp_path(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("save_scenario_file: cannot open " +
-                               tmp.string());
-    out.write(reinterpret_cast<const char*>(file.bytes().data()),
-              static_cast<std::streamsize>(file.bytes().size()));
-    out.write(reinterpret_cast<const char*>(payload.bytes().data()),
-              static_cast<std::streamsize>(payload.bytes().size()));
-    out.flush();
-    if (!out)
-      throw std::runtime_error("save_scenario_file: write failed on " +
-                               tmp.string());
-  }
-  std::filesystem::rename(tmp, path);
+  service::write_frame(path, kFrame, payload);
 }
 
 ScenarioLoad load_scenario_file(const std::filesystem::path& path,
                                 const ScenarioContext* expect) {
   ScenarioLoad out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    out.reason = "no scenario file";
-    return out;
-  }
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-
-  try {
-    service::ByteReader header(bytes.data(), bytes.size());
-    for (const char m : kMagic)
-      if (header.u8() != static_cast<std::uint8_t>(m)) {
-        out.reason = "bad magic";
-        return out;
-      }
-    if (header.u64() != service::kScenarioFormatVersion) {
-      out.reason = "unknown format version";
-      return out;
-    }
-    const std::uint64_t payload_size = header.u64();
-    const std::uint64_t checksum = header.u64();
-    if (payload_size != header.remaining()) {
-      out.reason = "truncated or oversized payload";
-      return out;
-    }
-    const std::uint8_t* payload =
-        bytes.data() + (bytes.size() - header.remaining());
-    if (service::fnv1a64(payload, static_cast<std::size_t>(payload_size)) !=
-        checksum) {
-      out.reason = "checksum mismatch";
-      return out;
-    }
-
-    service::ByteReader r(payload, static_cast<std::size_t>(payload_size));
-    ScenarioResult res;
-    res.context = get_context(r);
-    if (expect != nullptr && !(res.context == *expect)) {
-      out.reason = "context mismatch";
-      return out;
-    }
+  ScenarioResult res;
+  out.reason = service::read_frame(path, kFrame, [&](service::ByteReader& r) {
+    res.context = get_scenario_context(r);
+    if (expect != nullptr && !(res.context == *expect))
+      return std::string("context mismatch");
     res.legal = r.boolean();
     res.wirelength_m = r.f64();
     res.power_w = r.f64();
@@ -142,18 +80,11 @@ ScenarioLoad load_scenario_file(const std::filesystem::path& path,
     res.spatial_entropy_max = r.f64();
     res.leakage = r.f64();
     res.overhead = r.f64();
-    if (!r.exhausted()) {
-      out.reason = "trailing bytes";
-      return out;
-    }
-    out.result = std::move(res);
-    out.ok = true;
-    return out;
-  } catch (const std::exception& e) {
-    out.reason = e.what();
-    out.ok = false;
-    return out;
-  }
+    return std::string{};
+  });
+  out.ok = out.reason.empty();
+  if (out.ok) out.result = std::move(res);
+  return out;
 }
 
 ScenarioCache::ScenarioCache(std::filesystem::path dir)

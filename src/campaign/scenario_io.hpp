@@ -1,13 +1,13 @@
 // tsc3d -- thermal side-channel-aware 3D floorplanning.
 //
 // On-disk encoding of one finished scenario evaluation, plus the
-// content-addressed scenario cache.  Same framing discipline as
-// result_io/checkpoint_io: magic "TSC3DSCN", u64 format version, u64
-// payload size, u64 FNV-1a checksum, payload.  Loading is fail-soft --
+// content-addressed scenario cache.  A scenario result is one service
+// frame (service/frame.hpp: magic "TSC3DSCN", kScenarioFormatVersion,
+// size, FNV-1a checksum) around the payload.  Loading is fail-soft --
 // EVERY defect (missing file, bad magic, unknown version, truncation,
 // checksum mismatch, context mismatch, trailing bytes) yields
 // {ok = false, reason}, never an exception or a wrong accept -- and
-// writes are atomic (temp + rename).  Scenario results are runtime-free
+// writes are atomic and durable.  Scenario results are runtime-free
 // deterministic functions of their ScenarioContext, so reruns produce
 // byte-identical files and the campaign report can be byte-compared.
 #pragma once
@@ -20,8 +20,8 @@
 
 namespace tsc3d::campaign {
 
-/// Write atomically (temp + rename); throws std::runtime_error on I/O
-/// failure.
+/// Write atomically and durably (see service::write_file_atomic); throws
+/// std::runtime_error on I/O failure.
 void save_scenario_file(const std::filesystem::path& path,
                         const ScenarioResult& result);
 

@@ -141,10 +141,6 @@ floorplan::FloorplannerOptions make_floorplanner_options(
                    opt.chains.exchange_interval);
   opt.chains.ladder_ratio = cfg.get_double("floorplanning.chain_ladder_ratio",
                                            opt.chains.ladder_ratio);
-  opt.incremental_eval =
-      cfg.get_bool("floorplanning.incremental_eval", opt.incremental_eval);
-  opt.anneal.transactional =
-      cfg.get_bool("floorplanning.transactional", opt.anneal.transactional);
   opt.cross_check_interval = cfg.get_size(
       "floorplanning.cross_check_interval", opt.cross_check_interval);
   apply_thermal(cfg, opt.thermal);

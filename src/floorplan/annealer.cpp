@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "floorplan/move_transaction.hpp"
 
@@ -93,32 +94,21 @@ void LayoutState::touch_die(std::size_t d) {
       version_counter->fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-void LayoutState::disable_tracking() {
-  family = 0;
-  version_counter.reset();
-  die_version.clear();
-  packing_cache.clear();
-  packing_version.clear();
-}
-
 void LayoutState::apply_to(Floorplan3D& fp) const {
-  const bool use_stamps =
-      tracked() && die_version.size() == die_sp.size();
+  if (die_version.size() != die_sp.size() ||
+      packing_version.size() != die_sp.size())
+    throw std::logic_error(
+        "LayoutState::apply_to: state has no tracking family (build it "
+        "with initial() or restore_layout(), or call init_tracking())");
   for (std::size_t d = 0; d < die_sp.size(); ++d) {
-    if (use_stamps && fp.layout_stamp_matches(d, family, die_version[d]))
+    if (fp.layout_stamp_matches(d, family, die_version[d]))
       continue;  // fp already holds exactly this die content, bitwise
     const SequencePair& sp = die_sp[d];
-    const bool cache_ok = use_stamps && d < packing_version.size() &&
-                          packing_version[d] == die_version[d];
-    if (!cache_ok) {
-      if (packing_cache.size() != die_sp.size()) {
-        packing_cache.assign(die_sp.size(), Packing{});
-        packing_version.assign(die_sp.size(), 0);
-      }
+    if (packing_version[d] != die_version[d]) {
       packing_cache[d] =
           sp.pack([&](std::size_t id) { return width[id]; },
                   [&](std::size_t id) { return height[id]; });
-      packing_version[d] = use_stamps ? die_version[d] : 0;
+      packing_version[d] = die_version[d];
     }
     const Packing& p = packing_cache[d];
     const auto& order = sp.members();
@@ -146,7 +136,7 @@ void LayoutState::apply_to(Floorplan3D& fp) const {
     // The packer's bounding box equals the module scan bitwise (max over
     // the same right/top values), so the outline term can reuse it.
     fp.set_die_bounds(d, p.width, p.height);
-    if (use_stamps) fp.set_layout_stamp(d, family, die_version[d]);
+    fp.set_layout_stamp(d, family, die_version[d]);
   }
 }
 
@@ -174,14 +164,6 @@ double Annealer::move_size_factor(const MoveRecord& rec) {
       break;
   }
   return 0.0;
-}
-
-bool Annealer::use_transactions(const LayoutState& state) const {
-  // Transactions lean on the incremental machinery: rollback restores
-  // journaled cache cells and the state's die versions so the floorplan
-  // stamps keep matching.  Without tracking or incremental caches there
-  // is nothing to skip, and the classic loops are the honest baseline.
-  return opt_.transactional && eval_.options().incremental && state.tracked();
 }
 
 void Annealer::apply_tolerance_schedule(const AnnealSession& s,
@@ -229,7 +211,7 @@ void Annealer::random_move(LayoutState& s, Rng& rng, MoveRecord& rec) const {
     if (s.die_sp[from].size() > 1) {
       std::size_t to = rng.index(dies - 1);
       if (to >= from) ++to;
-      // Remember the module's slots for the revert.
+      // Remember the module's slots for a rollback.
       const auto& pos = s.die_sp[from].positive();
       const auto& neg = s.die_sp[from].negative();
       rec.old_pos_slot = static_cast<std::size_t>(
@@ -444,9 +426,8 @@ void Annealer::stage_cool_and_escalate(AnnealSession& s) {
 }
 
 CostBreakdown Annealer::evaluate_move(AnnealSession& s, double move_factor) {
-  // The full/thermal/cheap cadence of the move loops; the transactional
-  // and classic branches share it so the refresh points -- and therefore
-  // the measured values -- land move-for-move identically.
+  // The full/thermal/cheap cadence of the move loop, driven by the
+  // session's counters so a resumed session refreshes at the same moves.
   CostBreakdown c;
   ++s.since_thermal;
   if (++s.since_full >= opt_.full_eval_interval) {
@@ -473,61 +454,35 @@ bool Annealer::run_stage(AnnealSession& s, Rng& rng) {
   stage_refresh(s);
 
   const bool greedy = s.stage >= s.annealed_stages;
-  if (use_transactions(state)) {
-    // Transactional loop: speculatively stage the move, evaluate, then
-    // commit or roll back.  A rollback restores every journaled cache
-    // cell AND the state's die versions, so the floorplan stamps still
-    // match and the next move's apply_to() skips the rejected move's
-    // dies outright -- the classic loop re-packs them on the next
-    // apply_to just to rediscover the old positions.
-    MoveTransaction txn(fp_, eval_);
-    for (std::size_t mv = 0; mv < s.moves_per_stage; ++mv) {
-      txn.open(state);
-      MoveRecord rec;
-      random_move(state, rng, rec);
-      if (rec.kind == MoveRecord::Kind::none) {
-        txn.abort();
-        continue;
-      }
-      ++s.stats.moves;
-
-      txn.stage();
-      const CostBreakdown c = evaluate_move(s, move_size_factor(rec));
-
-      const double delta = c.total - s.current.total;
-      const bool accept =
-          delta <= 0.0 ||
-          (!greedy && rng.uniform() < std::exp(-delta / s.temperature));
-      if (accept) {
-        txn.commit();
-        ++s.stats.accepted;
-        s.current = c;
-        track_best(s, c);
-      } else {
-        txn.rollback(rec);
-      }
+  // Speculatively stage each move, evaluate, then commit or roll back.
+  // A rollback restores every journaled cache cell AND the state's die
+  // versions, so the floorplan stamps still match and the next move's
+  // apply_to() skips the rejected move's dies outright.
+  MoveTransaction txn(fp_, eval_);
+  for (std::size_t mv = 0; mv < s.moves_per_stage; ++mv) {
+    txn.open(state);
+    MoveRecord rec;
+    random_move(state, rng, rec);
+    if (rec.kind == MoveRecord::Kind::none) {
+      txn.abort();
+      continue;
     }
-  } else {
-    for (std::size_t mv = 0; mv < s.moves_per_stage; ++mv) {
-      MoveRecord rec;
-      random_move(state, rng, rec);
-      if (rec.kind == MoveRecord::Kind::none) continue;
-      ++s.stats.moves;
+    ++s.stats.moves;
 
-      state.apply_to(fp_);
-      const CostBreakdown c = evaluate_move(s, move_size_factor(rec));
+    txn.stage();
+    const CostBreakdown c = evaluate_move(s, move_size_factor(rec));
 
-      const double delta = c.total - s.current.total;
-      const bool accept =
-          delta <= 0.0 ||
-          (!greedy && rng.uniform() < std::exp(-delta / s.temperature));
-      if (accept) {
-        ++s.stats.accepted;
-        s.current = c;
-        track_best(s, c);
-      } else {
-        rec.revert(state);
-      }
+    const double delta = c.total - s.current.total;
+    const bool accept =
+        delta <= 0.0 ||
+        (!greedy && rng.uniform() < std::exp(-delta / s.temperature));
+    if (accept) {
+      txn.commit();
+      ++s.stats.accepted;
+      s.current = c;
+      track_best(s, c);
+    } else {
+      txn.rollback(rec);
     }
   }
   stage_cool_and_escalate(s);
@@ -548,49 +503,28 @@ AnnealStats Annealer::finish(AnnealSession& s, Rng& rng) {
     CostBreakdown repair_current = eval_.evaluate_cheap();
     const auto repair_budget = static_cast<std::size_t>(
         opt_.repair_fraction * static_cast<double>(s.total_moves));
-    if (use_transactions(state)) {
-      MoveTransaction txn(fp_, eval_);
-      for (std::size_t mv = 0;
-           mv < repair_budget && !repair_current.fits_outline; ++mv) {
-        txn.open(state);
-        MoveRecord rec;
-        random_move(state, rng, rec);
-        if (rec.kind == MoveRecord::Kind::none) {
-          txn.abort();
-          continue;
-        }
-        ++s.stats.repair_moves;
-        txn.stage();
-        const CostBreakdown c = eval_.evaluate_cheap();
-        const bool better =
-            c.outline_penalty < repair_current.outline_penalty - 1e-12 ||
-            (c.outline_penalty < repair_current.outline_penalty + 1e-12 &&
-             c.total < repair_current.total);
-        if (better) {
-          txn.commit();
-          repair_current = c;
-        } else {
-          txn.rollback(rec);
-        }
+    MoveTransaction txn(fp_, eval_);
+    for (std::size_t mv = 0;
+         mv < repair_budget && !repair_current.fits_outline; ++mv) {
+      txn.open(state);
+      MoveRecord rec;
+      random_move(state, rng, rec);
+      if (rec.kind == MoveRecord::Kind::none) {
+        txn.abort();
+        continue;
       }
-    } else {
-      for (std::size_t mv = 0;
-           mv < repair_budget && !repair_current.fits_outline; ++mv) {
-        MoveRecord rec;
-        random_move(state, rng, rec);
-        if (rec.kind == MoveRecord::Kind::none) continue;
-        ++s.stats.repair_moves;
-        state.apply_to(fp_);
-        const CostBreakdown c = eval_.evaluate_cheap();
-        const bool better =
-            c.outline_penalty < repair_current.outline_penalty - 1e-12 ||
-            (c.outline_penalty < repair_current.outline_penalty + 1e-12 &&
-             c.total < repair_current.total);
-        if (better) {
-          repair_current = c;
-        } else {
-          rec.revert(state);
-        }
+      ++s.stats.repair_moves;
+      txn.stage();
+      const CostBreakdown c = eval_.evaluate_cheap();
+      const bool better =
+          c.outline_penalty < repair_current.outline_penalty - 1e-12 ||
+          (c.outline_penalty < repair_current.outline_penalty + 1e-12 &&
+           c.total < repair_current.total);
+      if (better) {
+        txn.commit();
+        repair_current = c;
+      } else {
+        txn.rollback(rec);
       }
     }
     if (repair_current.fits_outline ||

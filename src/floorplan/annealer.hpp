@@ -34,12 +34,13 @@ struct MoveRecord;  // full definition in floorplan/move_transaction.hpp
 /// stamp still matches -- those module positions are bitwise-untouched
 /// by construction, since an unchanged (family, version) pair uniquely
 /// identifies the die content that produced them.  The per-die Packing
-/// is cached at its version, so a revert back to a previously packed
-/// version still repacks (versions never repeat) but clean dies cost
-/// nothing at all.  The shared counter is atomic, so states exchanged
-/// between parallel-tempering chains stay sound; version VALUES may
-/// depend on scheduling, but only stamp EQUALITY is ever consulted, and
-/// equal stamps imply identical content -- results stay deterministic.
+/// is cached at its version, so clean dies cost nothing at all, and a
+/// rejected move's rollback (MoveTransaction) restores the pre-move
+/// versions so its dies stay clean.  The shared counter is atomic, so
+/// states exchanged between parallel-tempering chains stay sound;
+/// version VALUES may depend on scheduling, but only stamp EQUALITY is
+/// ever consulted, and equal stamps imply identical content -- results
+/// stay deterministic.
 struct LayoutState {
   std::vector<SequencePair> die_sp;    ///< one sequence pair per die
   std::vector<double> width;           ///< chosen extents per module id
@@ -56,8 +57,8 @@ struct LayoutState {
   /// Pack every die whose stamp no longer matches `fp` and write shapes +
   /// die assignments + per-die bounds for exactly those dies; dies whose
   /// stamp matches are skipped (their positions in `fp` are already this
-  /// state's, bitwise).  States without tracking (not built by initial())
-  /// pack and write everything.
+  /// state's, bitwise).  Throws std::logic_error for a state without a
+  /// tracking family (see init_tracking()).
   void apply_to(Floorplan3D& fp) const;
 
   /// Mark die `d` dirty: bumps its content version to a fresh value and
@@ -67,21 +68,12 @@ struct LayoutState {
   void touch_die(std::size_t d);
 
   /// Allocate a fresh tracking family covering `dies` dies (initial()
-  /// calls this; exposed for tests building states by hand).
+  /// and restore_layout() call this; exposed for tests building states
+  /// by hand).
   void init_tracking(std::size_t dies);
 
-  /// Drop tracking entirely: apply_to() reverts to the seed behavior of
-  /// packing every die and writing every module on every call (copies of
-  /// an untracked state stay untracked).  The floorplanner uses this
-  /// when incremental evaluation is disabled, so --incremental=off is an
-  /// end-to-end A/B of the seed path.
-  void disable_tracking();
-
-  /// True when apply_to() may skip clean dies (tracking allocated).
-  [[nodiscard]] bool tracked() const { return version_counter != nullptr; }
-
   // --- incremental-packing bookkeeping (see class comment) --------------
-  std::uint64_t family = 0;                 ///< 0 = untracked
+  std::uint64_t family = 0;                 ///< 0 = no tracking yet
   std::vector<std::uint64_t> die_version;   ///< content version per die
   /// Shared, monotone version source for the whole copy-family.
   std::shared_ptr<std::atomic<std::uint64_t>> version_counter;
@@ -136,15 +128,6 @@ struct AnnealOptions {
   /// separate engine and never sees it.  Deterministic: the scale is a
   /// pure function of (stage, move), not of timing.
   double inner_tolerance_scale = 32.0;
-  /// Run the move loops through MoveTransaction (speculative
-  /// evaluate/commit/rollback, see floorplan/move_transaction.hpp)
-  /// instead of the apply/snapshot/revert/apply pattern.  Requires
-  /// incremental evaluation and a tracked state; otherwise the classic
-  /// loops run regardless of this flag.  Both paths are bitwise-identical
-  /// per seed, including the RNG stream position
-  /// (tests/test_incremental_eval.cpp); this switch exists as an A/B
-  /// lever and an escape hatch, not as a quality trade-off.
-  bool transactional = true;
 };
 
 struct AnnealStats {
@@ -206,19 +189,15 @@ class Annealer {
   AnnealStats finish(AnnealSession& session, Rng& rng);
 
  private:
-  /// Apply one random move and fill `rec` with enough data to revert it.
-  /// rec.kind == none means no move was possible.
+  /// Apply one random move and fill `rec` with enough data to roll it
+  /// back.  rec.kind == none means no move was possible.
   void random_move(LayoutState& state, Rng& rng, MoveRecord& rec) const;
   /// Thermal reach of a move kind, in (0, 1] (see
   /// AnnealOptions::inner_tolerance_scale).
   static double move_size_factor(const MoveRecord& rec);
-  /// Shared evaluation cadence of the move loops: full / thermal / cheap
-  /// by the session's interval counters.  Identical arithmetic for the
-  /// transactional and classic branches.
+  /// Evaluation cadence of the annealing moves: full / thermal / cheap
+  /// by the session's interval counters.
   CostBreakdown evaluate_move(AnnealSession& session, double move_factor);
-  /// True when run_stage/finish should route moves through
-  /// MoveTransaction (see AnnealOptions::transactional).
-  [[nodiscard]] bool use_transactions(const LayoutState& state) const;
   /// Install the tolerance schedule for an in-stage thermal refresh:
   /// scale = 1 + (max - 1) * sqrt(T / T0) * move_factor.
   void apply_tolerance_schedule(const AnnealSession& session,

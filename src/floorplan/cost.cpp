@@ -144,24 +144,19 @@ void CostEvaluator::scale_outline_weight(double factor) {
 }
 
 void CostEvaluator::measure_cheap(CostBreakdown& c) {
-  if (opt_.incremental) {
-    measure_layout_terms_incremental(c);
-    if (opt_.cross_check_interval > 0 &&
-        ++cheap_evals_ % opt_.cross_check_interval == 0) {
-      CostBreakdown ref;
-      measure_layout_terms_full(ref);
-      if (ref.bbox_area_ratio != c.bbox_area_ratio ||
-          ref.outline_penalty != c.outline_penalty ||
-          ref.fits_outline != c.fits_outline ||
-          ref.wirelength_um != c.wirelength_um ||
-          ref.delay_ns != c.delay_ns)
-        throw std::logic_error(
-            "CostEvaluator: incremental cheap terms diverged from the full "
-            "recompute -- some code moved modules without "
-            "note_module_moved()/invalidate_layout_caches()");
-    }
-  } else {
-    measure_layout_terms_full(c);
+  measure_layout_terms_incremental(c);
+  if (opt_.cross_check_interval > 0 &&
+      ++cheap_evals_ % opt_.cross_check_interval == 0) {
+    CostBreakdown ref;
+    measure_layout_terms_full(ref);
+    if (ref.bbox_area_ratio != c.bbox_area_ratio ||
+        ref.outline_penalty != c.outline_penalty ||
+        ref.fits_outline != c.fits_outline ||
+        ref.wirelength_um != c.wirelength_um || ref.delay_ns != c.delay_ns)
+      throw std::logic_error(
+          "CostEvaluator: incremental cheap terms diverged from the full "
+          "recompute -- some code moved modules without "
+          "note_module_moved()/invalidate_layout_caches()");
   }
 
   // Spatial entropy is the paper's cheap per-iteration leakage proxy

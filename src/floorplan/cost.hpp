@@ -85,18 +85,15 @@ class CostEvaluator {
     /// cost of a few SOR sweeps per refresh.  The engine must outlive the
     /// evaluator and match leakage_grid.
     thermal::ThermalEngine* detailed_engine = nullptr;
-    /// Serve the cheap terms from the floorplan's incremental caches
+    /// The cheap terms are served from the floorplan's incremental caches
     /// (per-die bounds fed by the packer, per-net HPWL boxes, per-net
-    /// Elmore stage delays) instead of rescanning every module and net
-    /// per move.  Bitwise-equal to the full recompute as long as layout
-    /// writes go through LayoutState::apply_to / note_module_moved (see
-    /// floorplan.hpp, "incremental layout tracking"); the cross-check
-    /// below guards that invariant.
-    bool incremental = true;
-    /// Every Nth incremental measure_cheap, recompute the cheap terms
-    /// from scratch and throw std::logic_error on any bitwise mismatch
-    /// (a mismatch means some code moved modules without announcing it).
-    /// 0 disables; defaults on in debug builds.
+    /// Elmore stage delays), bitwise-equal to a full rescan as long as
+    /// layout writes go through LayoutState::apply_to / note_module_moved
+    /// (see floorplan.hpp, "incremental layout tracking").  Every Nth
+    /// measure_cheap, recompute them by full rescan and throw
+    /// std::logic_error on any bitwise mismatch (a mismatch means some
+    /// code moved modules without announcing it).  0 disables; defaults
+    /// on in debug builds.
 #ifndef NDEBUG
     std::size_t cross_check_interval = 256;
 #else
@@ -127,10 +124,10 @@ class CostEvaluator {
   // cache cell the staged move dirties is captured before its first
   // rewrite; trial_rollback() restores them bitwise and trial_commit()
   // drops the journals.  The evaluator's own state needs no journal: the
-  // expensive-term caches are refresh-cadence state that a rejected move
-  // leaves untouched in the classic loop too, and the per-die layout-term
-  // cache below is keyed on the cached bounds VALUES, so it self-heals
-  // after a rollback.  Trials do not nest.
+  // expensive-term caches are refresh-cadence state (a refresh taken
+  // while scoring a rejected move is kept by design), and the per-die
+  // layout-term cache below is keyed on the cached bounds VALUES, so it
+  // self-heals after a rollback.  Trials do not nest.
 
   /// Open the speculative bracket (floorplan + timing journaling on).
   void trial_begin();
@@ -195,8 +192,7 @@ class CostEvaluator {
  private:
   void measure_cheap(CostBreakdown& c);
   /// The cheap layout terms (bbox/outline, wirelength, delay) by full
-  /// rescan -- the seed path, kept verbatim as the incremental path's
-  /// reference.
+  /// rescan: the oracle behind cross_check_interval.
   void measure_layout_terms_full(CostBreakdown& c) const;
   /// The same terms from the incremental caches; bitwise-equal to the
   /// full rescan under the tracking invariant.

@@ -6,7 +6,6 @@ namespace tsc3d::floorplan {
 
 LayoutStateImage capture_layout(const LayoutState& state) {
   LayoutStateImage img;
-  img.tracked = state.tracked();
   img.positive.reserve(state.die_sp.size());
   img.negative.reserve(state.die_sp.size());
   for (const SequencePair& sp : state.die_sp) {
@@ -34,7 +33,7 @@ LayoutState restore_layout(const LayoutStateImage& image) {
   s.width = image.width;
   s.height = image.height;
   s.die_of = image.die_of;
-  if (image.tracked) s.init_tracking(s.die_sp.size());
+  s.init_tracking(s.die_sp.size());
   return s;
 }
 

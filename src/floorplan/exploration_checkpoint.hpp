@@ -20,9 +20,9 @@
 // Tempering checkpoints additionally carry the exchange RNG, the
 // completed-stage/round counters and the exchange stats.  The restored
 // layout gets a FRESH tracking family, so the first apply_to() fully
-// repacks every die -- bitwise-identical positions by the incremental-
-// packing parity contract (positions are a pure function of sequences
-// and extents; see tests/test_incremental_eval.cpp).
+// repacks every die -- bitwise-identical positions, since positions are
+// a pure function of sequences and extents (tests/test_incremental_eval.cpp
+// checks every stage against a from-scratch pack).
 //
 // The on-disk encoding (versioned, checksummed, validated against the
 // job identity) lives in src/service/checkpoint_io.hpp; this header is
@@ -48,7 +48,6 @@ namespace tsc3d::floorplan {
 /// sequences), module extents and die assignment.  Tracking bookkeeping
 /// is NOT captured -- restore_layout() allocates a fresh family.
 struct LayoutStateImage {
-  bool tracked = true;  ///< restore with incremental tracking enabled
   std::vector<std::vector<std::size_t>> positive;  ///< per die
   std::vector<std::vector<std::size_t>> negative;  ///< per die
   std::vector<double> width;
@@ -57,8 +56,9 @@ struct LayoutStateImage {
 };
 
 [[nodiscard]] LayoutStateImage capture_layout(const LayoutState& state);
-/// Rebuild a LayoutState from an image.  Throws std::invalid_argument on
-/// inconsistent sequences (see SequencePair::restore).
+/// Rebuild a LayoutState, with a fresh tracking family, from an image.
+/// Throws std::invalid_argument on inconsistent sequences (see
+/// SequencePair::restore).
 [[nodiscard]] LayoutState restore_layout(const LayoutStateImage& image);
 
 /// One chain's complete resumable state (see file comment).

@@ -57,17 +57,12 @@ FloorplanMetrics Floorplanner::run(Floorplan3D& fp, Rng& rng,
   eval_opt.voltage = opt_.voltage;
   eval_opt.leakage_grid = opt_.fast_grid;
   eval_opt.entropy_options = opt_.entropy;
-  eval_opt.incremental = opt_.incremental_eval;
   eval_opt.cross_check_interval = opt_.cross_check_interval;
 
   // --- simulated annealing ------------------------------------------------
   LayoutState state;
   if (resume == nullptr) {
     state = LayoutState::initial(fp, rng, opt_.hot_modules_to_top);
-    // incremental_eval == false is a full A/B of the seed pipeline: cached
-    // cheap terms off (above) AND dirty-die packing off, so every apply
-    // packs and rewrites everything exactly as before.
-    if (!opt_.incremental_eval) state.disable_tracking();
     if (opt_.auto_clock_factor > 0.0) {
       // Timing budget derived from the initial layout (all modules at the
       // nominal voltage); see FloorplannerOptions::auto_clock_factor.

@@ -85,13 +85,9 @@ struct FloorplannerOptions {
   /// exchange (see chain_orchestrator.hpp).  Note total thread use is
   /// chains.chains * parallel.threads when both are raised.
   ChainOptions chains;
-  /// Incremental move evaluation: dirty-die repacking plus cached per-net
-  /// wirelength/delay and per-die bounds (see CostEvaluator::Options::
-  /// incremental).  Bitwise-identical results to the full recompute; off
-  /// restores the seed's rescan-everything evaluation for A/B runs.
-  bool incremental_eval = true;
-  /// Cross-check cadence for the incremental path (0 = never): every Nth
-  /// cheap evaluation recomputes from scratch and throws on divergence.
+  /// Cross-check cadence for the incremental move evaluation (0 = never):
+  /// every Nth cheap evaluation recomputes the layout terms by full
+  /// rescan and throws on divergence.
   /// Debug builds default to 256, release to 0.
 #ifndef NDEBUG
   std::size_t cross_check_interval = 256;

@@ -37,31 +37,6 @@ void MoveRecord::revert_slots(LayoutState& s) const {
   }
 }
 
-void MoveRecord::revert(LayoutState& s) const {
-  // Classic reverts re-dirty the dies they restore: versions never
-  // repeat, so the restored content gets a FRESH version (the cached
-  // packing goes stale, but stamp equality stays sound -- see the
-  // LayoutState doc).
-  revert_slots(s);
-  switch (kind) {
-    case Kind::none:
-      break;
-    case Kind::swap_pos:
-    case Kind::swap_neg:
-    case Kind::swap_both:
-      s.touch_die(die_a);
-      break;
-    case Kind::resize:
-      s.touch_die(s.die_of[module_a]);
-      break;
-    case Kind::transfer:
-    case Kind::exchange:
-      s.touch_die(die_a);
-      s.touch_die(die_b);
-      break;
-  }
-}
-
 void MoveTransaction::open(LayoutState& state) {
   if (phase_ != Phase::idle)
     throw std::logic_error("MoveTransaction::open: transaction already open");

@@ -1,15 +1,10 @@
 // tsc3d -- thermal side-channel-aware 3D floorplanning.
 //
 // Transactional trial moves: a speculative evaluate/commit/rollback
-// bracket around one annealing move.  The classic loop pattern
-//
-//   mutate state -> apply_to(fp) -> evaluate -> [reject: revert state,
-//   apply_to(fp) again / re-dirty everything]
-//
-// pays the full re-pack + cache-rebuild price on every rejection, which
-// dominates an annealing run (most moves are rejected).  A
-// MoveTransaction instead journals every floorplan/evaluator cache cell
-// the speculative move touches (first touch only -- see
+// bracket around one annealing move, the annealer's only move pipeline.
+// Most moves are rejected, so a rejection must not pay a re-pack and
+// cache rebuild.  A MoveTransaction journals every floorplan/evaluator
+// cache cell the speculative move touches (first touch only -- see
 // Floorplan3D::begin_trial and ElmoreTiming::begin_trial) and, on
 // rollback, restores them bitwise AND restores the LayoutState's die
 // content versions, so the floorplan's layout stamps still match the
@@ -22,11 +17,11 @@
 //                      \--abort()--> idle   (kind-none moves: nothing
 //                                            was staged, nothing to undo)
 //
-// Determinism contract: a transactional run is bitwise-identical to the
-// classic incremental run, including the RNG stream position -- staging,
-// commit, and rollback consume no randomness, and rollback restores
-// every value a subsequent evaluation can observe
-// (tests/test_incremental_eval.cpp pins this A/B).
+// Determinism contract: staging, commit, and rollback consume no
+// randomness, and rollback restores every value a subsequent evaluation
+// can observe -- after every stage the floorplan equals a from-scratch
+// pack of the state (tests/test_incremental_eval.cpp pins this per
+// stage, with the evaluator's full-rescan cross-check on every move).
 #pragma once
 
 #include <cstddef>
@@ -39,8 +34,8 @@
 
 namespace tsc3d::floorplan {
 
-/// Record of one annealing move: enough data to revert it.  Filled by
-/// Annealer::random_move.
+/// Record of one annealing move: enough data to roll it back.  Filled
+/// by Annealer::random_move.
 struct MoveRecord {
   enum class Kind { none, swap_pos, swap_neg, swap_both, resize, transfer,
                     exchange };
@@ -57,11 +52,6 @@ struct MoveRecord {
   /// rollback), so stamps minted before the move match again and the
   /// next apply_to() skips the dies outright.
   void revert_slots(LayoutState& s) const;
-
-  /// Classic revert: restore the content and mint fresh versions for the
-  /// touched dies (they will re-pack on the next apply_to).  Identical
-  /// semantics to the pre-transaction undo records.
-  void revert(LayoutState& s) const;
 };
 
 /// One speculative move against (state, floorplan, evaluator).  Reusable:

@@ -85,8 +85,8 @@ class ElmoreTiming {
   // valid after rollback (journaling them would re-stale every row on
   // each rejection after a voltage refresh).  The critical delay/net
   // are re-derived on every call and need no journal; voltage_epoch_
-  // stays monotone (voltage assignment is not unwound on reject --
-  // same semantics as the non-transactional loop).
+  // stays monotone (a voltage assignment made while scoring a move is
+  // kept when the move is rejected).
   void begin_trial();
   void commit_trial();
   void rollback_trial();

@@ -1,32 +1,16 @@
 #include "service/checkpoint_io.hpp"
 
-#include <cstdio>
-#include <fstream>
-
-#include "service/serialize.hpp"
+#include "service/frame.hpp"
 #include "service/version.hpp"
 
 namespace tsc3d::service {
 
 namespace {
 
-constexpr char kMagic[8] = {'T', 'S', 'C', '3', 'D', 'C', 'K', 'P'};
+constexpr FrameFormat kFrame{{'T', 'S', 'C', '3', 'D', 'C', 'K', 'P'},
+                             kCheckpointFormatVersion, "checkpoint"};
 
 // --- field-level encoders/decoders for the floorplan structs -----------
-
-void put_rng(ByteWriter& w, const Rng::State& st) {
-  for (const std::uint64_t s : st.s) w.u64(s);
-  w.f64(st.cached_gaussian);
-  w.boolean(st.has_cached_gaussian);
-}
-
-Rng::State get_rng(ByteReader& r) {
-  Rng::State st;
-  for (std::uint64_t& s : st.s) s = r.u64();
-  st.cached_gaussian = r.f64();
-  st.has_cached_gaussian = r.boolean();
-  return st;
-}
 
 void put_breakdown(ByteWriter& w, const floorplan::CostBreakdown& c) {
   w.f64(c.bbox_area_ratio);
@@ -132,7 +116,6 @@ floorplan::CostEvaluator::CheckpointState get_eval(ByteReader& r) {
 }
 
 void put_layout(ByteWriter& w, const floorplan::LayoutStateImage& img) {
-  w.boolean(img.tracked);
   w.u64(img.positive.size());
   for (std::size_t d = 0; d < img.positive.size(); ++d) {
     w.vec_size(img.positive[d]);
@@ -145,7 +128,6 @@ void put_layout(ByteWriter& w, const floorplan::LayoutStateImage& img) {
 
 floorplan::LayoutStateImage get_layout(ByteReader& r) {
   floorplan::LayoutStateImage img;
-  img.tracked = r.boolean();
   const std::uint64_t dies = r.u64();
   img.positive.reserve(static_cast<std::size_t>(dies));
   img.negative.reserve(static_cast<std::size_t>(dies));
@@ -209,6 +191,18 @@ floorplan::ChainCheckpoint get_chain(ByteReader& r) {
   return c;
 }
 
+/// The reason `got` does not identify the job `expect` names, or "".
+std::string context_mismatch(const ArtifactContext& got,
+                             const ArtifactContext& expect) {
+  if (got.design_hash != expect.design_hash) return "design hash mismatch";
+  if (got.config_hash != expect.config_hash) return "config hash mismatch";
+  if (got.seed != expect.seed) return "seed mismatch";
+  if (got.code_version != expect.code_version) return "code version mismatch";
+  return {};
+}
+
+}  // namespace
+
 void put_context(ByteWriter& w, const ArtifactContext& ctx) {
   w.u64(ctx.design_hash);
   w.u64(ctx.config_hash);
@@ -224,8 +218,6 @@ ArtifactContext get_context(ByteReader& r) {
   ctx.code_version = r.str();
   return ctx;
 }
-
-}  // namespace
 
 std::uint64_t context_key(const ArtifactContext& ctx) {
   ByteWriter w;
@@ -250,88 +242,16 @@ void save_checkpoint_file(const std::filesystem::path& path,
   payload.u64(ck.exchange.attempts);
   payload.u64(ck.exchange.accepts);
 
-  ByteWriter file;
-  for (const char m : kMagic) file.u8(static_cast<std::uint8_t>(m));
-  file.u64(kCheckpointFormatVersion);
-  file.u64(payload.bytes().size());
-  file.u64(fnv1a64(payload.bytes().data(), payload.bytes().size()));
-
-  const std::filesystem::path tmp = unique_tmp_path(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("save_checkpoint_file: cannot open " +
-                               tmp.string());
-    out.write(reinterpret_cast<const char*>(file.bytes().data()),
-              static_cast<std::streamsize>(file.bytes().size()));
-    out.write(reinterpret_cast<const char*>(payload.bytes().data()),
-              static_cast<std::streamsize>(payload.bytes().size()));
-    out.flush();
-    if (!out)
-      throw std::runtime_error("save_checkpoint_file: write failed on " +
-                               tmp.string());
-  }
-  // Atomic publish: a reader sees either the previous checkpoint or the
-  // complete new one, never a half-written file.
-  std::filesystem::rename(tmp, path);
+  write_frame(path, kFrame, payload);
 }
 
 CheckpointLoad load_checkpoint_file(const std::filesystem::path& path,
                                     const ArtifactContext& expect) {
   CheckpointLoad out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    out.reason = "no checkpoint file";
-    return out;
-  }
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-
-  try {
-    ByteReader header(bytes.data(), bytes.size());
-    for (const char m : kMagic)
-      if (header.u8() != static_cast<std::uint8_t>(m)) {
-        out.reason = "bad magic";
-        return out;
-      }
-    const std::uint64_t version = header.u64();
-    if (version != kCheckpointFormatVersion) {
-      out.reason = "unknown format version";
-      return out;
-    }
-    const std::uint64_t payload_size = header.u64();
-    const std::uint64_t checksum = header.u64();
-    if (payload_size != header.remaining()) {
-      out.reason = "truncated or oversized payload";
-      return out;
-    }
-    const std::uint8_t* payload =
-        bytes.data() + (bytes.size() - header.remaining());
-    if (fnv1a64(payload, static_cast<std::size_t>(payload_size)) != checksum) {
-      out.reason = "checksum mismatch";
-      return out;
-    }
-
-    ByteReader r(payload, static_cast<std::size_t>(payload_size));
-    const ArtifactContext ctx = get_context(r);
-    if (ctx.design_hash != expect.design_hash) {
-      out.reason = "design hash mismatch";
-      return out;
-    }
-    if (ctx.config_hash != expect.config_hash) {
-      out.reason = "config hash mismatch";
-      return out;
-    }
-    if (ctx.seed != expect.seed) {
-      out.reason = "seed mismatch";
-      return out;
-    }
-    if (ctx.code_version != expect.code_version) {
-      out.reason = "code version mismatch";
-      return out;
-    }
-
-    floorplan::ExplorationCheckpoint ck;
+  floorplan::ExplorationCheckpoint ck;
+  out.reason = read_frame(path, kFrame, [&](ByteReader& r) {
+    std::string mismatch = context_mismatch(get_context(r), expect);
+    if (!mismatch.empty()) return mismatch;
     ck.tempering = r.boolean();
     ck.clock_period_ns = r.f64();
     ck.flow_rng = get_rng(r);
@@ -345,18 +265,11 @@ CheckpointLoad load_checkpoint_file(const std::filesystem::path& path,
     ck.exchange.rounds = static_cast<std::size_t>(r.u64());
     ck.exchange.attempts = static_cast<std::size_t>(r.u64());
     ck.exchange.accepts = static_cast<std::size_t>(r.u64());
-    if (!r.exhausted()) {
-      out.reason = "trailing bytes";
-      return out;
-    }
-    out.checkpoint = std::move(ck);
-    out.ok = true;
-    return out;
-  } catch (const std::exception& e) {
-    out.reason = e.what();  // ByteReader truncation and kin
-    out.ok = false;
-    return out;
-  }
+    return std::string{};
+  });
+  out.ok = out.reason.empty();
+  if (out.ok) out.checkpoint = std::move(ck);
+  return out;
 }
 
 }  // namespace tsc3d::service

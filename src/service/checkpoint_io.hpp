@@ -3,27 +3,24 @@
 // Durable on-disk encoding of floorplan::ExplorationCheckpoint, plus the
 // artifact identity every service file carries.
 //
-// File layout (all integers little-endian):
-//
-//   magic    "TSC3DCKP"                      8 bytes
-//   version  u64 (kCheckpointFormatVersion)
-//   size     u64 (payload byte count)
-//   checksum u64 (FNV-1a 64 of the payload)
-//   payload  ArtifactContext + ExplorationCheckpoint
+// A checkpoint is one service frame (service/frame.hpp: magic
+// "TSC3DCKP", kCheckpointFormatVersion, size, FNV-1a checksum) whose
+// payload is the ArtifactContext followed by the ExplorationCheckpoint.
 //
 // Loading follows the DtmCheckpoint discipline: EVERY defect -- missing
 // file, wrong magic, unknown format version, truncated payload, checksum
 // mismatch, or an identity (design/config/seed/code-version) that does
 // not match the job being resumed -- yields {ok = false, reason}, and
 // the caller starts the run fresh.  A checkpoint can cost redo work,
-// never correctness.  Writes go through a temp file + atomic rename, so
-// a crash mid-write leaves the previous checkpoint intact.
+// never correctness.  Writes are atomic and durable (temp file, sync,
+// rename), so a crash mid-write leaves the previous checkpoint intact.
 #pragma once
 
 #include <filesystem>
 #include <string>
 
 #include "floorplan/exploration_checkpoint.hpp"
+#include "service/serialize.hpp"
 
 namespace tsc3d::service {
 
@@ -43,8 +40,14 @@ struct ArtifactContext {
 /// compare it, so a collision degrades to a miss, never a wrong answer.
 [[nodiscard]] std::uint64_t context_key(const ArtifactContext& ctx);
 
-/// Write atomically (temp + rename); throws std::runtime_error on I/O
-/// failure.
+/// The context's encoding, shared by every artifact payload that opens
+/// with one (checkpoints, results, and scenario results' exploration
+/// fields).
+void put_context(ByteWriter& w, const ArtifactContext& ctx);
+[[nodiscard]] ArtifactContext get_context(ByteReader& r);
+
+/// Write atomically and durably (see service::write_file_atomic); throws
+/// std::runtime_error on I/O failure.
 void save_checkpoint_file(const std::filesystem::path& path,
                           const ArtifactContext& context,
                           const floorplan::ExplorationCheckpoint& checkpoint);

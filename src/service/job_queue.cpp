@@ -10,28 +10,13 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "service/serialize.hpp"
+#include "service/frame.hpp"
 
 namespace tsc3d::service {
 
 namespace {
 
 constexpr const char* kJobHeader = "tsc3d-job v1";
-
-void write_text_atomic(const std::filesystem::path& path,
-                       const std::string& text) {
-  const std::filesystem::path tmp = service::unique_tmp_path(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("job queue: cannot write " + tmp.string());
-    out << text;
-    out.flush();
-    if (!out)
-      throw std::runtime_error("job queue: write failed on " + tmp.string());
-  }
-  std::filesystem::rename(tmp, path);
-}
 
 std::string read_text(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -152,7 +137,7 @@ std::string JobQueue::enqueue(const JobSpec& job) {
   const std::filesystem::path finished = root_ / "done" / (id + ".job");
   if (std::filesystem::exists(pending) || std::filesystem::exists(finished))
     return id;
-  write_text_atomic(pending, format_job(job));
+  write_file_atomic(pending, format_job(job));
   return id;
 }
 
@@ -207,7 +192,7 @@ void JobQueue::complete(const ClaimedJob& job) {
 }
 
 void JobQueue::fail(const ClaimedJob& job, const std::string& reason) {
-  write_text_atomic(root_ / "failed" / (job.id + ".reason"), reason + "\n");
+  write_file_atomic(root_ / "failed" / (job.id + ".reason"), reason + "\n");
   std::filesystem::rename(job.job_file, root_ / "failed" / (job.id + ".job"));
   std::error_code ec;
   std::filesystem::remove(checkpoint_path(job.id), ec);

@@ -1,45 +1,14 @@
 #include "service/result_io.hpp"
 
-#include <fstream>
-
-#include "service/serialize.hpp"
+#include "service/frame.hpp"
 #include "service/version.hpp"
 
 namespace tsc3d::service {
 
 namespace {
 
-constexpr char kMagic[8] = {'T', 'S', 'C', '3', 'D', 'R', 'E', 'S'};
-
-void put_rng(ByteWriter& w, const Rng::State& st) {
-  for (const std::uint64_t s : st.s) w.u64(s);
-  w.f64(st.cached_gaussian);
-  w.boolean(st.has_cached_gaussian);
-}
-
-Rng::State get_rng(ByteReader& r) {
-  Rng::State st;
-  for (std::uint64_t& s : st.s) s = r.u64();
-  st.cached_gaussian = r.f64();
-  st.has_cached_gaussian = r.boolean();
-  return st;
-}
-
-void put_context(ByteWriter& w, const ArtifactContext& ctx) {
-  w.u64(ctx.design_hash);
-  w.u64(ctx.config_hash);
-  w.u64(ctx.seed);
-  w.str(ctx.code_version);
-}
-
-ArtifactContext get_context(ByteReader& r) {
-  ArtifactContext ctx;
-  ctx.design_hash = r.u64();
-  ctx.config_hash = r.u64();
-  ctx.seed = r.u64();
-  ctx.code_version = r.str();
-  return ctx;
-}
+constexpr FrameFormat kFrame{{'T', 'S', 'C', '3', 'D', 'R', 'E', 'S'},
+                             kResultFormatVersion, "result"};
 
 }  // namespace
 
@@ -119,72 +88,17 @@ void save_result_file(const std::filesystem::path& path,
   }
   put_rng(payload, res.final_rng);
 
-  ByteWriter file;
-  for (const char m : kMagic) file.u8(static_cast<std::uint8_t>(m));
-  file.u64(kResultFormatVersion);
-  file.u64(payload.bytes().size());
-  file.u64(fnv1a64(payload.bytes().data(), payload.bytes().size()));
-
-  const std::filesystem::path tmp = unique_tmp_path(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("save_result_file: cannot open " +
-                               tmp.string());
-    out.write(reinterpret_cast<const char*>(file.bytes().data()),
-              static_cast<std::streamsize>(file.bytes().size()));
-    out.write(reinterpret_cast<const char*>(payload.bytes().data()),
-              static_cast<std::streamsize>(payload.bytes().size()));
-    out.flush();
-    if (!out)
-      throw std::runtime_error("save_result_file: write failed on " +
-                               tmp.string());
-  }
-  std::filesystem::rename(tmp, path);
+  write_frame(path, kFrame, payload);
 }
 
 ResultLoad load_result_file(const std::filesystem::path& path,
                             const ArtifactContext* expect) {
   ResultLoad out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    out.reason = "no result file";
-    return out;
-  }
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-
-  try {
-    ByteReader header(bytes.data(), bytes.size());
-    for (const char m : kMagic)
-      if (header.u8() != static_cast<std::uint8_t>(m)) {
-        out.reason = "bad magic";
-        return out;
-      }
-    if (header.u64() != kResultFormatVersion) {
-      out.reason = "unknown format version";
-      return out;
-    }
-    const std::uint64_t payload_size = header.u64();
-    const std::uint64_t checksum = header.u64();
-    if (payload_size != header.remaining()) {
-      out.reason = "truncated or oversized payload";
-      return out;
-    }
-    const std::uint8_t* payload =
-        bytes.data() + (bytes.size() - header.remaining());
-    if (fnv1a64(payload, static_cast<std::size_t>(payload_size)) != checksum) {
-      out.reason = "checksum mismatch";
-      return out;
-    }
-
-    ByteReader r(payload, static_cast<std::size_t>(payload_size));
-    StoredResult res;
+  StoredResult res;
+  out.reason = read_frame(path, kFrame, [&](ByteReader& r) {
     res.context = get_context(r);
-    if (expect != nullptr && !(res.context == *expect)) {
-      out.reason = "context mismatch";
-      return out;
-    }
+    if (expect != nullptr && !(res.context == *expect))
+      return std::string("context mismatch");
     res.legal = r.boolean();
     res.correlation = r.vec_f64();
     res.entropy = r.vec_f64();
@@ -220,18 +134,11 @@ ResultLoad load_result_file(const std::filesystem::path& path,
       res.tsvs.push_back(t);
     }
     res.final_rng = get_rng(r);
-    if (!r.exhausted()) {
-      out.reason = "trailing bytes";
-      return out;
-    }
-    out.result = std::move(res);
-    out.ok = true;
-    return out;
-  } catch (const std::exception& e) {
-    out.reason = e.what();
-    out.ok = false;
-    return out;
-  }
+    return std::string{};
+  });
+  out.ok = out.reason.empty();
+  if (out.ok) out.result = std::move(res);
+  return out;
 }
 
 }  // namespace tsc3d::service

@@ -8,10 +8,10 @@
 // runs of the same job produce byte-identical files, and the resume and
 // cache tests compare result files bitwise.
 //
-// File layout mirrors checkpoint_io: magic "TSC3DRES", u64 format
-// version, u64 payload size, u64 FNV-1a checksum, payload.  Loading is
-// fail-soft the same way: any defect is a miss with a reason, never an
-// exception or a wrong result.
+// A result is one service frame (service/frame.hpp: magic "TSC3DRES",
+// kResultFormatVersion, size, FNV-1a checksum) around the payload.
+// Loading is fail-soft like every frame: any defect is a miss with a
+// reason, never an exception or a wrong result.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +71,8 @@ struct StoredResult {
     const ArtifactContext& context, const Floorplan3D& fp,
     const floorplan::FloorplanMetrics& metrics, const Rng& rng);
 
-/// Write atomically (temp + rename); throws std::runtime_error on I/O
-/// failure.
+/// Write atomically and durably (see service::write_file_atomic); throws
+/// std::runtime_error on I/O failure.
 void save_result_file(const std::filesystem::path& path,
                       const StoredResult& result);
 

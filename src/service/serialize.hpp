@@ -6,38 +6,18 @@
 // doubles as their IEEE-754 bit patterns (bit_cast, so round-trips are
 // bitwise exact -- the resume and cache contracts depend on that), and
 // length-prefixed containers.  Readers bounds-check every access and
-// throw on truncation; the file-level framing in checkpoint_io /
-// result_io adds magic, version and an FNV-1a checksum on top.
+// throw on truncation; the file-level frame (service/frame.hpp) adds
+// magic, version and an FNV-1a checksum on top.
 #pragma once
 
-#include <unistd.h>
-
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace tsc3d::service {
-
-/// A scratch name for writing `path` atomically (write tmp, then
-/// rename).  Unique per (process, call), so concurrent writers of the
-/// SAME destination -- e.g. two scenario jobs caching their shared
-/// exploration result -- never clobber each other's half-written tmp;
-/// rename(2) then replaces atomically and last-writer-wins over
-/// identical bytes.
-[[nodiscard]] inline std::filesystem::path unique_tmp_path(
-    const std::filesystem::path& path) {
-  static std::atomic<unsigned long long> counter{0};
-  const unsigned long long n =
-      counter.fetch_add(1, std::memory_order_relaxed);
-  return path.string() + ".tmp." +
-         std::to_string(static_cast<long long>(::getpid())) + "." +
-         std::to_string(n);
-}
 
 /// FNV-1a 64-bit over a byte range; `seed` chains multiple ranges.
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;

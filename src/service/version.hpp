@@ -23,7 +23,9 @@ namespace tsc3d::service {
 // temperatures, and thus cached results, change within solver accuracy.
 inline constexpr const char* kCodeVersion = "tsc3d-10";
 
-inline constexpr unsigned kCheckpointFormatVersion = 1;
+// Checkpoint format 2: a layout image no longer stores a tracking flag
+// (every restored layout is tracked).
+inline constexpr unsigned kCheckpointFormatVersion = 2;
 inline constexpr unsigned kResultFormatVersion = 1;
 inline constexpr unsigned kScenarioFormatVersion = 1;
 

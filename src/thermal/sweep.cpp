@@ -20,6 +20,12 @@
 // relaxed nodes (scalar extraction, never a full 256-bit store): cells
 // of the other color are concurrently READ by neighboring row shards,
 // so rewriting them even with unchanged values would be a data race.
+// Loads obey the mirror rule: the eight-cell load of a +-y or +-z
+// neighbor row also covers its four cells of the color being relaxed,
+// which a neighboring shard may be writing when that row lies outside
+// [row_begin, row_end).  Such operands are loaded as their four
+// other-color cells only; pad rows are never written, and unsharded
+// sweeps (every real row in range) keep the eight-cell loads.
 #include "thermal/thermal_engine.hpp"
 
 #include <algorithm>
@@ -87,6 +93,15 @@ __attribute__((target("avx2"))) inline __m256d load_even(const double* p) {
   return _mm256_permute4x64_pd(_mm256_unpacklo_pd(lo, hi), 0xD8);
 }
 
+/// load_even for a field operand whose row another shard may be
+/// relaxing: the four wanted cells one by one, never the interleaved
+/// cells between them (see the file comment).
+__attribute__((target("avx2"))) inline __m256d load_even(const double* p,
+                                                        bool other_shard) {
+  if (other_shard) return _mm256_set_pd(p[6], p[4], p[2], p[0]);
+  return load_even(p);
+}
+
 __attribute__((target("avx2"))) double sweep_color_rows_avx2(
     const Assembly& a, double omega, double* t, int color,
     std::size_t row_begin, std::size_t row_end, const double* r,
@@ -111,6 +126,11 @@ __attribute__((target("avx2"))) double sweep_color_rows_avx2(
     const std::size_t row = gr * nx;
     const std::size_t prow = l * ps + iy * px;
     std::size_t ix = (l + iy + static_cast<std::size_t>(color)) & 1;
+    // Neighbor rows that are real rows outside this shard's range.
+    const bool out_ym = iy > 0 && gr - 1 < row_begin;
+    const bool out_yp = iy + 1 < ny && gr + 1 >= row_end;
+    const bool out_zm = l > 0 && gr - ny < row_begin;
+    const bool out_zp = l + 1 < a.nl && gr + ny >= row_end;
     // Vector block: four same-color nodes spanning eight consecutive
     // cells.  Its compact-array loads reach index i + 7, so the block
     // needs ix + 8 <= nx to stay inside this row; the halo field's pad
@@ -127,14 +147,14 @@ __attribute__((target("avx2"))) double sweep_color_rows_avx2(
           flux, _mm256_mul_pd(load_even(gxm + i), load_even(t + p - 1)));
       flux = _mm256_add_pd(
           flux, _mm256_mul_pd(load_even(gxp + i), load_even(t + p + 1)));
-      flux = _mm256_add_pd(
-          flux, _mm256_mul_pd(load_even(gym + i), load_even(t + p - px)));
-      flux = _mm256_add_pd(
-          flux, _mm256_mul_pd(load_even(gyp + i), load_even(t + p + px)));
-      flux = _mm256_add_pd(
-          flux, _mm256_mul_pd(load_even(gzm + i), load_even(t + p - ps)));
-      flux = _mm256_add_pd(
-          flux, _mm256_mul_pd(load_even(gzp + i), load_even(t + p + ps)));
+      flux = _mm256_add_pd(flux, _mm256_mul_pd(load_even(gym + i),
+                                               load_even(t + p - px, out_ym)));
+      flux = _mm256_add_pd(flux, _mm256_mul_pd(load_even(gyp + i),
+                                               load_even(t + p + px, out_yp)));
+      flux = _mm256_add_pd(flux, _mm256_mul_pd(load_even(gzm + i),
+                                               load_even(t + p - ps, out_zm)));
+      flux = _mm256_add_pd(flux, _mm256_mul_pd(load_even(gzp + i),
+                                               load_even(t + p + ps, out_zp)));
       const __m256d delta =
           _mm256_sub_pd(_mm256_div_pd(flux, load_even(dg + i)), tv);
       const __m256d tnew =

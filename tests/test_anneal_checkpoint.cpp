@@ -5,7 +5,7 @@
 // capture the complete annealing state (layout, RNG, cost normalizers,
 // stage counters, thermal warm field, per-chain tempering state).
 //
-// Covered paths: classic single chain and parallel tempering; plus the
+// Covered paths: single chain and parallel tempering; plus the
 // observer property (saving checkpoints perturbs nothing) and the
 // resume-at-final-stage edge.
 #include <gtest/gtest.h>
@@ -127,7 +127,7 @@ void check_resume_bitwise(const FloorplannerOptions& opt,
   expect_bitwise_equal(reference, resumed);
 }
 
-TEST(AnnealCheckpoint, ClassicPathResumesBitwise) {
+TEST(AnnealCheckpoint, SingleChainResumesBitwise) {
   check_resume_bitwise(fast_options(), 7);
 }
 
@@ -136,12 +136,6 @@ TEST(AnnealCheckpoint, TemperingPathResumesBitwise) {
   opt.chains.chains = 3;
   opt.chains.exchange_interval = 2;
   check_resume_bitwise(opt, 13);
-}
-
-TEST(AnnealCheckpoint, TransactionalOffResumesBitwise) {
-  FloorplannerOptions opt = fast_options();
-  opt.anneal.transactional = false;
-  check_resume_bitwise(opt, 17);
 }
 
 TEST(AnnealCheckpoint, ResumeFromEveryEarlySnapshotMatches) {
@@ -184,7 +178,6 @@ TEST(AnnealCheckpoint, ResumeRejectsChainShapeMismatch) {
 
 TEST(AnnealCheckpoint, LayoutRestoreValidatesMembership) {
   LayoutStateImage img;
-  img.tracked = false;
   img.positive = {{0, 1, 2}};
   img.negative = {{2, 0, 3}};  // 3 is not a member of positive
   img.width = {{10.0, 10.0, 10.0}};

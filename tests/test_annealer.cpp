@@ -2,6 +2,8 @@
 // instances (kept tiny so the suite stays fast).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "benchgen/generator.hpp"
 #include "floorplan/annealer.hpp"
 #include "thermal/power_blur.hpp"
@@ -67,6 +69,22 @@ TEST(LayoutState, ApplyWritesShapesAndDies) {
   // Sequence-pair packings never overlap.
   const LegalityReport rep = fp.check_legality();
   EXPECT_EQ(rep.overlap_count, 0u);
+}
+
+TEST(LayoutState, ApplyRequiresTracking) {
+  // Every state the annealer publishes carries layout stamps; a state
+  // assembled by hand must allocate them before apply_to().
+  Floorplan3D fp = small_instance(3);
+  Rng rng(3);
+  const LayoutState tracked = LayoutState::initial(fp, rng);
+  LayoutState bare;
+  bare.die_sp = tracked.die_sp;
+  bare.width = tracked.width;
+  bare.height = tracked.height;
+  bare.die_of = tracked.die_of;
+  EXPECT_THROW(bare.apply_to(fp), std::logic_error);
+  bare.init_tracking(bare.die_sp.size());
+  EXPECT_NO_THROW(bare.apply_to(fp));
 }
 
 class AnnealerFixture : public ::testing::Test {

@@ -5,9 +5,9 @@
 //    rescans through thousands of randomized mixed moves (sequence
 //    swaps, resizes, transfers, exchanges), including reverts and
 //    staging across LayoutState copies;
-//  * whole annealing runs with the incremental pipeline ON must
-//    bitwise-reproduce runs with it OFF -- same RNG stream, same
-//    accepts, same best layout;
+//  * whole annealing runs, with the full-rescan cross-check on every
+//    move, must leave the floorplan equal to a from-scratch pack of the
+//    annealed state after every stage;
 //  * the debug cross-check must stay silent on a clean run and throw
 //    std::logic_error when layout writes bypass note_module_moved;
 //  * the IncrementalEvalParallel suite drives incremental state through
@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -208,89 +209,91 @@ TEST(IncrementalEval, StagingAcrossCopiesKeepsCachesExact) {
 
 // ---------------------------------------------------------------------------
 
-/// Everything one annealing run produces that determinism can bite on.
-struct AnnealOutcome {
-  fpn::AnnealStats stats;
-  std::vector<double> width, height;
-  std::vector<std::size_t> die_of;
-  std::vector<double> coords;   ///< final module x/y as applied to the fp
-  std::uint64_t rng_after = 0;  ///< next raw draw: stream-position probe
-};
-
-void expect_same_outcome(const AnnealOutcome& a, const AnnealOutcome& b) {
-  EXPECT_EQ(a.stats.moves, b.stats.moves);
-  EXPECT_EQ(a.stats.accepted, b.stats.accepted);
-  EXPECT_EQ(a.stats.full_evals, b.stats.full_evals);
-  EXPECT_EQ(a.stats.repair_moves, b.stats.repair_moves);
-  EXPECT_EQ(a.stats.found_legal, b.stats.found_legal);
-  EXPECT_EQ(a.stats.initial_temperature, b.stats.initial_temperature);
-  EXPECT_EQ(a.stats.best_cost, b.stats.best_cost);  // bitwise, not ULP-near
-  ASSERT_EQ(a.width.size(), b.width.size());
-  for (std::size_t i = 0; i < a.width.size(); ++i) {
-    EXPECT_EQ(a.width[i], b.width[i]) << "module " << i;
-    EXPECT_EQ(a.height[i], b.height[i]) << "module " << i;
-    EXPECT_EQ(a.die_of[i], b.die_of[i]) << "module " << i;
+/// Assert the floorplan holds exactly a from-scratch pack of `s`: every
+/// module on its state die, at the position SequencePair::pack gives it
+/// under the state's extents, bitwise.
+void expect_fp_matches_fresh_pack(const Floorplan3D& fp,
+                                  const fpn::LayoutState& s) {
+  std::size_t placed = 0;
+  for (std::size_t d = 0; d < s.die_sp.size(); ++d) {
+    const fpn::Packing p =
+        s.die_sp[d].pack([&](std::size_t id) { return s.width[id]; },
+                         [&](std::size_t id) { return s.height[id]; });
+    const std::vector<std::size_t>& order = s.die_sp[d].members();
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const Module& m = fp.modules()[order[k]];
+      ASSERT_EQ(m.die, d) << "module " << order[k];
+      ASSERT_EQ(m.shape.x, p.position[k].x) << "module " << order[k];
+      ASSERT_EQ(m.shape.y, p.position[k].y) << "module " << order[k];
+      ASSERT_EQ(m.shape.w, s.width[order[k]]) << "module " << order[k];
+      ASSERT_EQ(m.shape.h, s.height[order[k]]) << "module " << order[k];
+    }
+    placed += order.size();
   }
-  ASSERT_EQ(a.coords.size(), b.coords.size());
-  for (std::size_t i = 0; i < a.coords.size(); ++i)
-    EXPECT_EQ(a.coords[i], b.coords[i]) << "coord " << i;
-  EXPECT_EQ(a.rng_after, b.rng_after);
+  ASSERT_EQ(placed, fp.modules().size());
 }
 
-/// One full anneal; `incremental` toggles the whole pipeline exactly as
-/// the floorplanner does (evaluator dispatch AND dirty-die packing).
-/// `transactional` routes moves through MoveTransaction or the classic
-/// apply/revert/apply loops.
-AnnealOutcome run_anneal(bool incremental, std::uint64_t seed,
-                         bool transactional = true) {
-  Floorplan3D fp = small_instance(4);
+/// One full anneal through the staged interface with the evaluator's
+/// full-rescan cross-check on EVERY cheap evaluation (a divergence
+/// throws).  After begin(), after every stage and after finish() the
+/// floorplan must equal a from-scratch pack of the session's state.
+fpn::AnnealStats run_anneal(Floorplan3D fp, const fpn::CostWeights& weights,
+                            const fpn::AnnealOptions& opt,
+                            std::uint64_t seed) {
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
   thermal::GridSolver solver(fp.tech(), cfg);
   const thermal::PowerBlur blur(solver, 5);
   fpn::CostEvaluator::Options eopt;
-  eopt.weights = fpn::tsc_aware_weights();
+  eopt.weights = weights;
   eopt.leakage_grid = 16;
-  eopt.incremental = incremental;
+  eopt.cross_check_interval = 1;
   fpn::CostEvaluator eval(fp, blur, eopt);
-
-  fpn::AnnealOptions opt;
-  opt.total_moves = 1600;
-  opt.stages = 8;
-  opt.full_eval_interval = 90;
-  opt.transactional = transactional;
   fpn::Annealer annealer(fp, eval, opt);
 
   Rng rng(seed);
   fpn::LayoutState state = fpn::LayoutState::initial(fp, rng);
-  if (!incremental) state.disable_tracking();  // end-to-end seed path
-  AnnealOutcome out;
-  out.stats = annealer.run(state, rng);
-  out.width = state.width;
-  out.height = state.height;
-  out.die_of = state.die_of;
-  for (const Module& m : fp.modules()) {
-    out.coords.push_back(m.shape.x);
-    out.coords.push_back(m.shape.y);
+  fpn::AnnealSession session = annealer.begin(state, rng);
+  expect_fp_matches_fresh_pack(fp, state);
+  while (!::testing::Test::HasFatalFailure() &&
+         annealer.run_stage(session, rng)) {
+    SCOPED_TRACE("after stage " + std::to_string(session.stage));
+    expect_fp_matches_fresh_pack(fp, state);
   }
-  out.rng_after = rng();
-  return out;
+  const fpn::AnnealStats stats = annealer.finish(session, rng);
+  expect_fp_matches_fresh_pack(fp, state);
+  return stats;
 }
 
-TEST(IncrementalEval, FullRunBitwiseMatchesNonIncremental) {
-  // The tentpole's acceptance contract: the incremental pipeline must be
-  // an optimization, not a behavior change -- whole runs agree bit for
-  // bit with the rescan-everything path.
-  expect_same_outcome(run_anneal(true, 33), run_anneal(false, 33));
-}
-
-TEST(IncrementalEval, TransactionalRunBitwiseMatchesRevertLoop) {
-  // The PR 7 contract: routing every move through MoveTransaction
-  // (speculative stage -> evaluate -> commit/rollback) must reproduce
-  // the classic incremental apply/revert/apply loop bit for bit,
-  // including the RNG stream position (rng_after probes it).
-  expect_same_outcome(run_anneal(true, 33, true),
-                      run_anneal(true, 33, false));
+TEST(IncrementalEval, EveryStageMatchesFreshPack) {
+  // The incremental pipeline (stamped dirty-die packing, cached cheap
+  // terms, transactional rollback) is an optimization, not a behavior
+  // change: a from-scratch pack is the reference at every stage.
+  {
+    // TSC weights: entropy on every move, thermal refreshes every 10
+    // moves, and many short stages so the checks land often.
+    fpn::AnnealOptions opt;
+    opt.total_moves = 1600;
+    opt.stages = 32;
+    opt.full_eval_interval = 90;
+    opt.thermal_eval_interval = 10;
+    const fpn::AnnealStats stats =
+        run_anneal(small_instance(4), fpn::tsc_aware_weights(), opt, 33);
+    EXPECT_GT(stats.moves, 0u);
+    EXPECT_LT(stats.accepted, stats.moves);  // rollbacks were exercised
+  }
+  for (const std::uint64_t seed : {7ull, 19ull}) {
+    // A real benchmark size under PA weights.
+    fpn::AnnealOptions opt;
+    opt.total_moves = 600;
+    opt.stages = 3;
+    opt.full_eval_interval = 200;
+    const fpn::AnnealStats stats = run_anneal(
+        benchgen::generate("n1000", 2), fpn::power_aware_weights(), opt,
+        seed);
+    EXPECT_GT(stats.moves, 0u);
+    EXPECT_LT(stats.accepted, stats.moves);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -431,54 +434,15 @@ TEST(MoveTransaction, PhaseMisuseThrows) {
   EXPECT_NO_THROW(fp.invalidate_layout_caches());
 }
 
-TEST(MoveTransaction, TrackingOnOffBitwiseAtN1000) {
-  // Randomized A/B at a real benchmark size: a tracked (stamped,
-  // transactional) run and a disable_tracking() run must produce the
-  // SAME final layout bit for bit -- tracking and transactions are pure
-  // optimizations at any scale, not behavior changes.
-  for (const std::uint64_t seed : {7ull, 19ull}) {
-    auto run_once = [&](bool tracked) {
-      Floorplan3D fp = benchgen::generate("n1000", 2);
-      ThermalConfig cfg;
-      cfg.grid_nx = cfg.grid_ny = 16;
-      thermal::GridSolver solver(fp.tech(), cfg);
-      const thermal::PowerBlur blur(solver, 5);
-      fpn::CostEvaluator::Options eopt;
-      eopt.weights = fpn::power_aware_weights();
-      eopt.leakage_grid = 16;
-      eopt.incremental = tracked;
-      fpn::CostEvaluator eval(fp, blur, eopt);
-      fpn::AnnealOptions opt;
-      opt.total_moves = 600;
-      opt.stages = 3;
-      opt.full_eval_interval = 200;
-      fpn::Annealer annealer(fp, eval, opt);
-      Rng rng(seed);
-      fpn::LayoutState state = fpn::LayoutState::initial(fp, rng);
-      if (!tracked) state.disable_tracking();
-      AnnealOutcome out;
-      out.stats = annealer.run(state, rng);
-      out.width = state.width;
-      out.height = state.height;
-      out.die_of = state.die_of;
-      for (const Module& m : fp.modules()) {
-        out.coords.push_back(m.shape.x);
-        out.coords.push_back(m.shape.y);
-      }
-      out.rng_after = rng();
-      return out;
-    };
-    expect_same_outcome(run_once(true), run_once(false));
-  }
-}
-
 // ---------------------------------------------------------------------------
 
-TEST(MoveTransactionParallel, TransactionalChainsMatchRevertPathUnderThreads) {
-  // Transactions under parallel tempering: threaded and
-  // sequential chain scheduling must agree, and both must equal the
-  // transactional-OFF (classic revert) pipeline.  Runs under TSan on CI.
-  auto run_once = [](bool parallel, bool transactional) {
+TEST(IncrementalEvalParallel, ChainsDeterministicAndMatchSeedPath) {
+  // Incremental state flowing through parallel-tempering chains:
+  // threaded and sequential scheduling must agree exactly, and a
+  // threaded repeat must agree.  Every chain's cheap terms are checked
+  // against the full rescan (the seed path's evaluation) on every move.
+  // Runs under TSan on CI.
+  auto run_once = [](bool parallel) {
     fpn::ChainSetup s;
     s.fast_thermal.grid_nx = s.fast_thermal.grid_ny = 16;
     s.blur_radius = 5;
@@ -486,11 +450,11 @@ TEST(MoveTransactionParallel, TransactionalChainsMatchRevertPathUnderThreads) {
     s.engine_parallel.threads = 2;
     s.eval.weights = fpn::power_aware_weights();
     s.eval.leakage_grid = 16;
+    s.eval.cross_check_interval = 1;
     s.anneal.total_moves = 1000;
     s.anneal.stages = 5;
     s.anneal.full_eval_interval = 150;
     s.anneal.thermal_eval_interval = 9;
-    s.anneal.transactional = transactional;
     s.chains.chains = 3;
     s.chains.exchange_interval = 2;
     s.chains.ladder_ratio = 4.0;
@@ -508,56 +472,9 @@ TEST(MoveTransactionParallel, TransactionalChainsMatchRevertPathUnderThreads) {
     return std::make_tuple(report.winner, report.exchange.accepts, coords,
                            report.chains.at(report.winner).best_cost);
   };
-  const auto threaded = run_once(true, true);
-  EXPECT_EQ(threaded, run_once(false, true));  // scheduling-independent
-  EXPECT_EQ(threaded, run_once(true, false));  // equals the revert path
-}
-
-// ---------------------------------------------------------------------------
-
-TEST(IncrementalEvalParallel, ChainsDeterministicAndMatchSeedPath) {
-  // Incremental state flowing through parallel-tempering chains:
-  // threaded and sequential scheduling must agree exactly, a threaded
-  // repeat must agree, and the whole thing must equal the
-  // rescan-everything pipeline.  Runs under TSan on CI.
-  auto setup = [](bool parallel, bool incremental) {
-    fpn::ChainSetup s;
-    s.fast_thermal.grid_nx = s.fast_thermal.grid_ny = 16;
-    s.blur_radius = 5;
-    s.detailed_inner_thermal = true;
-    s.engine_parallel.threads = 2;
-    s.eval.weights = fpn::power_aware_weights();
-    s.eval.leakage_grid = 16;
-    s.eval.incremental = incremental;
-    s.anneal.total_moves = 1000;
-    s.anneal.stages = 5;
-    s.anneal.full_eval_interval = 150;
-    s.anneal.thermal_eval_interval = 9;
-    s.chains.chains = 3;
-    s.chains.exchange_interval = 2;
-    s.chains.ladder_ratio = 4.0;
-    s.chains.parallel = parallel;
-    return s;
-  };
-  auto run_once = [&](bool parallel, bool incremental) {
-    Floorplan3D fp = small_instance(11);
-    Rng rng(3);
-    fpn::LayoutState initial = fpn::LayoutState::initial(fp, rng);
-    if (!incremental) initial.disable_tracking();
-    fpn::ChainOrchestrator orchestrator(setup(parallel, incremental));
-    const fpn::ChainReport report = orchestrator.run(fp, initial, 42);
-    std::vector<double> coords;
-    for (const Module& m : fp.modules()) {
-      coords.push_back(m.shape.x);
-      coords.push_back(m.shape.y);
-    }
-    return std::make_tuple(report.winner, report.exchange.accepts, coords,
-                           report.chains.at(report.winner).best_cost);
-  };
-  const auto threaded = run_once(true, true);
-  EXPECT_EQ(threaded, run_once(false, true));   // scheduling-independent
-  EXPECT_EQ(threaded, run_once(true, true));    // repeatable
-  EXPECT_EQ(threaded, run_once(false, false));  // equals the seed path
+  const auto threaded = run_once(true);
+  EXPECT_EQ(threaded, run_once(false));  // scheduling-independent
+  EXPECT_EQ(threaded, run_once(true));   // repeatable
 }
 
 }  // namespace

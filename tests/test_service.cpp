@@ -278,14 +278,20 @@ TEST(CheckpointIo, RejectsCorruptFilesCleanly) {
   EXPECT_EQ(load_checkpoint_file(dir / "junk.ckp", ctx).reason,
             "bad magic");
 
-  {  // future format version
-    std::string future = bytes;
-    future[8] = 99;  // version field follows the 8-byte magic
-    std::ofstream out(dir / "future.ckp", std::ios::binary);
-    out << future;
+  // A checkpoint of the previous format (an older build's) or of the next
+  // one restarts cleanly.
+  for (const unsigned version :
+       {kCheckpointFormatVersion - 1, kCheckpointFormatVersion + 1}) {
+    std::string other = bytes;
+    other[8] = static_cast<char>(version);  // the u64 after the 8-byte magic
+    {
+      std::ofstream out(dir / "other.ckp", std::ios::binary);
+      out << other;
+    }
+    EXPECT_EQ(load_checkpoint_file(dir / "other.ckp", ctx).reason,
+              "unknown format version")
+        << "version " << version;
   }
-  EXPECT_EQ(load_checkpoint_file(dir / "future.ckp", ctx).reason,
-            "unknown format version");
 }
 
 // --- result cache -------------------------------------------------------

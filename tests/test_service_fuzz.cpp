@@ -274,25 +274,28 @@ TEST(ServiceFuzz, OversizedPayloadSizeFieldIsACleanMiss) {
   const fs::path dir = fresh_dir("fuzz_oversize");
   // Valid magic + version, then a payload_size of 2^64 - 1: every loader
   // must reject on the size/remaining mismatch without touching payload.
-  const auto craft = [&](const char* magic) {
+  const auto craft = [&](const char* magic, std::uint64_t version) {
     ByteWriter w;
     for (std::size_t i = 0; i < 8; ++i)
       w.u8(static_cast<std::uint8_t>(magic[i]));
-    w.u64(1);                       // format version
+    w.u64(version);
     w.u64(0xFFFFFFFFFFFFFFFFULL);   // payload size
     w.u64(0);                       // checksum
     std::string bytes(w.bytes().begin(), w.bytes().end());
     return bytes;
   };
+  const std::string oversized = "truncated or oversized payload";
 
-  write_bytes(dir / "h.ckp", craft("TSC3DCKP"));
-  EXPECT_FALSE(load_checkpoint_file(dir / "h.ckp", sample_context()).ok);
+  write_bytes(dir / "h.ckp", craft("TSC3DCKP", kCheckpointFormatVersion));
+  EXPECT_EQ(load_checkpoint_file(dir / "h.ckp", sample_context()).reason,
+            oversized);
 
-  write_bytes(dir / "h.res", craft("TSC3DRES"));
-  EXPECT_FALSE(load_result_file(dir / "h.res", nullptr).ok);
+  write_bytes(dir / "h.res", craft("TSC3DRES", kResultFormatVersion));
+  EXPECT_EQ(load_result_file(dir / "h.res", nullptr).reason, oversized);
 
-  write_bytes(dir / "h.scn", craft("TSC3DSCN"));
-  EXPECT_FALSE(campaign::load_scenario_file(dir / "h.scn", nullptr).ok);
+  write_bytes(dir / "h.scn", craft("TSC3DSCN", kScenarioFormatVersion));
+  EXPECT_EQ(campaign::load_scenario_file(dir / "h.scn", nullptr).reason,
+            oversized);
 }
 
 TEST(ServiceFuzz, EmptyAndMissingFilesAreCleanMisses) {
