@@ -1,6 +1,7 @@
 // Section 6 ablation: the fast (power-blurring) thermal analysis that
-// drives the floorplanning loop versus the detailed grid solver used for
-// verification.  The paper: "we found this fast analysis to be inferior
+// drives the paper's floorplanning loop versus the detailed grid solver
+// (tsc3d's loop and its verification both solve the detailed model).
+// The paper: "we found this fast analysis to be inferior
 // to the detailed analysis of HotSpot, especially for diverse
 // arrangements of TSVs.  Thus, we also verify the final correlation
 // after floorplanning."

@@ -344,14 +344,15 @@ void BM_CheapCostEvaluation(benchmark::State& state) {
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 32;
   Floorplan3D fp = benchgen::generate("n100", 1);
-  const thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 10);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                                thermal::EngineRole::fast_loop);
   floorplan::CostEvaluator::Options opt;
   opt.leakage_grid = 32;
-  floorplan::CostEvaluator eval(fp, blur, opt);
+  floorplan::CostEvaluator eval(fp, engine, opt);
   Rng rng(1);
   floorplan::LayoutState s = floorplan::LayoutState::initial(fp, rng);
   s.apply_to(fp);
+  benchmark::DoNotOptimize(eval.evaluate_cheap().total);  // prime caches
   for (auto _ : state) {
     benchmark::DoNotOptimize(eval.evaluate_cheap().total);
   }
@@ -381,12 +382,12 @@ void BM_AnnealStepCheap(benchmark::State& state) {
   Floorplan3D fp = benchgen::generate(n800_spec(), 1);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 32;
-  const thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 10);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                                thermal::EngineRole::fast_loop);
   floorplan::CostEvaluator::Options eval_opt;
   eval_opt.leakage_grid = 32;
   eval_opt.cross_check_interval = 0;  // measure the pipeline, not the guard
-  floorplan::CostEvaluator eval(fp, blur, eval_opt);
+  floorplan::CostEvaluator eval(fp, engine, eval_opt);
 
   constexpr std::size_t kMovesPerStage = 16;
   floorplan::AnnealOptions aopt;
@@ -427,13 +428,13 @@ void cheap_eval_loop(benchmark::State& state,
   Floorplan3D fp = benchgen::generate(n800_spec(), 1);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 32;
-  const thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 10);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                                thermal::EngineRole::fast_loop);
   floorplan::CostEvaluator::Options eval_opt;
   eval_opt.weights = weights;
   eval_opt.leakage_grid = 32;
   eval_opt.cross_check_interval = 0;  // measure the pipeline, not the guard
-  floorplan::CostEvaluator eval(fp, blur, eval_opt);
+  floorplan::CostEvaluator eval(fp, engine, eval_opt);
   Rng rng(1);
   floorplan::LayoutState s = floorplan::LayoutState::initial(fp, rng);
   s.apply_to(fp);
@@ -524,12 +525,12 @@ void BM_AnnealStepReject(benchmark::State& state) {
   Floorplan3D fp = benchgen::generate(n800_spec(), 1);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 32;
-  const thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 10);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                                thermal::EngineRole::fast_loop);
   floorplan::CostEvaluator::Options eval_opt;
   eval_opt.leakage_grid = 32;
   eval_opt.cross_check_interval = 0;  // measure the pipeline, not the guard
-  floorplan::CostEvaluator eval(fp, blur, eval_opt);
+  floorplan::CostEvaluator eval(fp, engine, eval_opt);
   Rng rng(1);
   floorplan::LayoutState s = floorplan::LayoutState::initial(fp, rng);
   s.apply_to(fp);
@@ -568,12 +569,12 @@ void BM_TrialMove(benchmark::State& state) {
   Floorplan3D fp = benchgen::generate(n800_spec(), 1);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 32;
-  const thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 10);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                                thermal::EngineRole::fast_loop);
   floorplan::CostEvaluator::Options eval_opt;
   eval_opt.leakage_grid = 32;
   eval_opt.cross_check_interval = 0;
-  floorplan::CostEvaluator eval(fp, blur, eval_opt);
+  floorplan::CostEvaluator eval(fp, engine, eval_opt);
   Rng rng(1);
   floorplan::LayoutState s = floorplan::LayoutState::initial(fp, rng);
   s.apply_to(fp);

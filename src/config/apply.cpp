@@ -131,8 +131,6 @@ floorplan::FloorplannerOptions make_floorplanner_options(
   opt.anneal.inner_tolerance_scale =
       cfg.get_double("floorplanning.inner_tolerance_scale",
                      opt.anneal.inner_tolerance_scale);
-  opt.detailed_inner_thermal = cfg.get_bool(
-      "floorplanning.detailed_inner_thermal", opt.detailed_inner_thermal);
   opt.parallel.threads =
       cfg.get_size("floorplanning.threads", opt.parallel.threads);
   opt.chains.chains = cfg.get_size("floorplanning.chains", opt.chains.chains);

@@ -538,8 +538,7 @@ AnnealStats Annealer::finish(AnnealSession& s, Rng& rng) {
 
   state = std::move(s.best);
   state.apply_to(fp_);
-  if (opt_.inner_tolerance_scale > 1.0 &&
-      eval_.options().detailed_engine != nullptr) {
+  if (opt_.inner_tolerance_scale > 1.0) {
     // The tracked best may have been scored under a loosened tolerance
     // (an under-converged solve can flatter a candidate), and the
     // tempering orchestrator compares best breakdowns ACROSS chains.

@@ -110,7 +110,7 @@ struct AnnealOptions {
   /// total_moves as a greedy legalization pass that accepts only moves
   /// reducing the outline violation (ties broken by total cost).
   double repair_fraction = 0.25;
-  /// Adaptive tolerance for the detailed in-loop thermal solves: the
+  /// Adaptive tolerance for the in-loop thermal solves: the
   /// maximum factor by which the engine's stopping tolerance is loosened
   /// while the search is hot.  Per refresh the annealer sets
   ///

@@ -9,27 +9,40 @@
 #include <utility>
 
 #include "floorplan/exploration_checkpoint.hpp"
-#include "thermal/power_blur.hpp"
 
 namespace tsc3d::floorplan {
 
 namespace {
 
-/// One tempering chain: a full private copy of the design plus the
-/// thermal/cost/annealing machinery bound to it.  Nothing in here is
-/// shared with another chain, so chains run concurrently without locks.
-struct Chain {
-  explicit Chain(const Floorplan3D& original) : fp(original) {}
+/// The private design copy and RNG stream of a chain k >= 1 (chain 0
+/// anneals the caller's).
+struct Replica {
+  Replica(const Floorplan3D& original, std::uint64_t seed)
+      : fp(original), rng(seed) {}
 
   Floorplan3D fp;
-  /// Private engine for the detailed in-loop solves; null when the
-  /// chain runs on the shared power-blurring estimate alone.
-  std::unique_ptr<thermal::ThermalEngine> engine;
-  std::unique_ptr<CostEvaluator> eval;
-  std::unique_ptr<Annealer> annealer;
+  Rng rng;
+};
+
+/// One chain: the thermal/cost/annealing machinery bound to one design
+/// and one RNG stream.  Nothing in here is shared with another chain, so
+/// chains run concurrently without locks.
+struct Chain {
+  Chain(Floorplan3D& design, Rng& stream, const ChainSetup& setup)
+      : fp(design),
+        rng(stream),
+        engine(design.tech(), setup.fast_thermal, setup.engine_parallel,
+               thermal::EngineRole::fast_loop),
+        eval(design, engine, setup.eval),
+        annealer(design, eval, setup.anneal) {}
+
+  Floorplan3D& fp;
+  Rng& rng;
+  thermal::ThermalEngine engine;  ///< warm-started in-loop solves
+  CostEvaluator eval;
+  Annealer annealer;
   LayoutState state;
   AnnealSession session;
-  Rng rng;
   double ladder = 1.0;  ///< temperature multiplier of this rung
 };
 
@@ -95,49 +108,37 @@ std::uint64_t ChainOrchestrator::chain_seed(std::uint64_t base,
 }
 
 ChainReport ChainOrchestrator::run(Floorplan3D& fp, const LayoutState& initial,
-                                   std::uint64_t seed) {
-  return run(fp, initial, seed, nullptr, Rng::State{});
-}
-
-ChainReport ChainOrchestrator::run(Floorplan3D& fp, const LayoutState& initial,
-                                   std::uint64_t seed,
-                                   const ExplorationHooks* hooks,
-                                   const Rng::State& flow_rng) {
+                                   Rng& rng, const ExplorationHooks* hooks) {
   const std::size_t count = setup_.chains.chains;
   const bool parallel = setup_.chains.parallel;
-
-  // --- calibrate the fast thermal model once -----------------------------
-  // PowerBlur kernels depend only on (tech, thermal config, radius), not
-  // on any chain's layout, and are immutable after construction, so one
-  // calibration pass serves every chain (estimate() is const and
-  // stateless -- safe to share across the chain threads).
-  thermal::ThermalEngine calibration_engine(fp.tech(), setup_.fast_thermal,
-                                            setup_.engine_parallel,
-                                            thermal::EngineRole::fast_loop);
-  const thermal::PowerBlur blur(calibration_engine, setup_.blur_radius);
+  const ExplorationCheckpoint* resume =
+      hooks != nullptr ? hooks->resume : nullptr;
+  if (resume != nullptr && resume->chains.size() != count)
+    throw std::invalid_argument(
+        "ChainOrchestrator: resume checkpoint does not match the chain "
+        "setup");
 
   // --- equip the chains --------------------------------------------------
-  // All chains start from the same initial state, so every evaluator's
+  // Chain 0 anneals the caller's design on the caller's RNG, so a single
+  // chain is exactly a plain SA run.  The other chains copy the design
+  // before anything is bound to it, and draw their streams from one seed
+  // (a resume restores every stream from the checkpoint instead).  All
+  // chains start from the same initial state, so every evaluator's
   // adaptive normalizers initialize from the same first full evaluation
   // and chain costs stay directly comparable in the exchange rule.
+  const std::uint64_t base = count > 1 && resume == nullptr ? rng() : 0;
+  std::vector<Replica> replicas;
+  replicas.reserve(count - 1);
+  for (std::size_t k = 1; k < count; ++k)
+    replicas.emplace_back(fp, chain_seed(base, k));
   std::vector<std::unique_ptr<Chain>> chains;
   chains.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
-    auto chain = std::make_unique<Chain>(fp);
-    CostEvaluator::Options eval_opt = setup_.eval;
-    if (setup_.detailed_inner_thermal) {
-      chain->engine = std::make_unique<thermal::ThermalEngine>(
-          chain->fp.tech(), setup_.fast_thermal, setup_.engine_parallel,
-          thermal::EngineRole::fast_loop);
-      eval_opt.detailed_engine = chain->engine.get();
-    } else {
-      eval_opt.detailed_engine = nullptr;
-    }
-    chain->eval = std::make_unique<CostEvaluator>(chain->fp, blur, eval_opt);
-    chain->annealer =
-        std::make_unique<Annealer>(chain->fp, *chain->eval, setup_.anneal);
+    auto chain =
+        k == 0 ? std::make_unique<Chain>(fp, rng, setup_)
+               : std::make_unique<Chain>(replicas[k - 1].fp,
+                                         replicas[k - 1].rng, setup_);
     chain->state = initial;
-    chain->rng.reseed(chain_seed(seed, k));
     chain->ladder =
         count > 1 ? std::pow(setup_.chains.ladder_ratio,
                              static_cast<double>(k) /
@@ -145,7 +146,7 @@ ChainReport ChainOrchestrator::run(Floorplan3D& fp, const LayoutState& initial,
                   : 1.0;
     chains.push_back(std::move(chain));
   }
-  Rng exchange_rng(chain_seed(seed, count));
+  Rng exchange_rng(chain_seed(base, count));
 
   // --- staged annealing with periodic replica exchange -------------------
   ChainReport report;
@@ -155,48 +156,42 @@ ChainReport ChainOrchestrator::run(Floorplan3D& fp, const LayoutState& initial,
   std::size_t done = 0;
   std::size_t round = 0;
 
-  if (hooks != nullptr && hooks->resume != nullptr) {
+  if (resume != nullptr) {
     // Resume: every chain continues from its checkpointed session; the
     // begin() calibration already ran in the original run and its RNG
     // draws are part of the restored stream positions.
-    const ExplorationCheckpoint& ck = *hooks->resume;
-    if (!ck.tempering || ck.chains.size() != count)
-      throw std::invalid_argument(
-          "ChainOrchestrator: resume checkpoint does not match the chain "
-          "setup");
     for_each_chain(count, parallel, [&](std::size_t k) {
       Chain& c = *chains[k];
-      restore_chain(ck.chains[k], c.session, c.state, c.rng, *c.eval,
-                    c.engine.get(), c.fp);
+      restore_chain(resume->chains[k], c.session, c.state, c.rng, c.eval,
+                    c.engine, c.fp);
     });
-    exchange_rng.set_state(ck.exchange_rng);
-    done = static_cast<std::size_t>(ck.done_stages);
-    round = static_cast<std::size_t>(ck.round);
-    report.exchange = ck.exchange;
+    exchange_rng.set_state(resume->exchange_rng);
+    done = static_cast<std::size_t>(resume->done_stages);
+    round = static_cast<std::size_t>(resume->round);
+    report.exchange = resume->exchange;
   } else {
     // --- begin: first full eval + T0 probe, then mount the ladder -------
     for_each_chain(count, parallel, [&](std::size_t k) {
       Chain& c = *chains[k];
-      c.session = c.annealer->begin(c.state, c.rng);
+      c.session = c.annealer.begin(c.state, c.rng);
       c.session.temperature *= c.ladder;
     });
   }
 
+  const bool saving = hooks != nullptr && hooks->save;
   const std::size_t save_interval =
-      hooks != nullptr ? std::max<std::size_t>(1, hooks->checkpoint_interval)
-                       : 1;
+      saving ? std::max<std::size_t>(1, hooks->checkpoint_interval) : 1;
   while (done < stages) {
-    const std::size_t todo = std::min(interval, stages - done);
+    // One stage per chain, then a barrier.
     for_each_chain(count, parallel, [&](std::size_t k) {
       Chain& c = *chains[k];
-      for (std::size_t st = 0; st < todo; ++st)
-        if (!c.annealer->run_stage(c.session, c.rng)) break;
+      (void)c.annealer.run_stage(c.session, c.rng);
     });
-    done += todo;
+    ++done;
 
-    if (done < stages && count >= 2) {
+    if (count >= 2 && done % interval == 0 && done < stages) {
       // Exchange round: alternate even/odd ladder pairs, fixed order, one
-      // dedicated RNG -- deterministic no matter how the segment threads
+      // dedicated RNG -- deterministic no matter how the chain threads
       // were scheduled.
       ++report.exchange.rounds;
       for (std::size_t i = round % 2; i + 1 < count; i += 2) {
@@ -207,10 +202,10 @@ ChainReport ChainOrchestrator::run(Floorplan3D& fp, const LayoutState& initial,
         const double t_hot = hot.session.temperature;
         const double e_cold = rebased_cost(
             cold.session.current.total, cold.session.current.outline_penalty,
-            cold.eval->outline_weight(), cold.session.initial_outline_weight);
+            cold.eval.outline_weight(), cold.session.initial_outline_weight);
         const double e_hot = rebased_cost(
             hot.session.current.total, hot.session.current.outline_penalty,
-            hot.eval->outline_weight(), hot.session.initial_outline_weight);
+            hot.eval.outline_weight(), hot.session.initial_outline_weight);
         if (t_cold <= 0.0 || t_hot <= 0.0) continue;
         const double log_accept =
             (1.0 / t_cold - 1.0 / t_hot) * (e_cold - e_hot);
@@ -227,21 +222,18 @@ ChainReport ChainOrchestrator::run(Floorplan3D& fp, const LayoutState& initial,
       ++round;
     }
 
-    // Checkpoint at the barrier: every bracket is closed, exchanges (and
-    // the round counter) for this barrier are already folded in, so a
-    // resume re-enters exactly at the top of this loop.
-    if (hooks != nullptr && hooks->save &&
-        (done % save_interval == 0 || done >= stages)) {
+    // Checkpoint at the barrier: every bracket is closed and this
+    // barrier's exchanges (and the round counter) are already folded in,
+    // so a resume re-enters exactly at the top of this loop.  The final
+    // barrier always saves, so a crash during finish() resumes with zero
+    // stages left to redo.
+    if (saving && (done % save_interval == 0 || done >= stages)) {
       ExplorationCheckpoint ck;
-      ck.tempering = true;
       ck.clock_period_ns = fp.tech().clock_period_ns;
-      ck.flow_rng = flow_rng;
       ck.chains.reserve(count);
-      for (std::size_t k = 0; k < count; ++k) {
-        Chain& c = *chains[k];
-        ck.chains.push_back(capture_chain(c.session, c.rng, *c.eval,
-                                          c.engine.get(), c.fp));
-      }
+      for (const auto& c : chains)
+        ck.chains.push_back(
+            capture_chain(c->session, c->rng, c->eval, c->engine, c->fp));
       ck.exchange_rng = exchange_rng.state();
       ck.done_stages = done;
       ck.round = round;
@@ -253,7 +245,7 @@ ChainReport ChainOrchestrator::run(Floorplan3D& fp, const LayoutState& initial,
   // --- finish: repair tails + install each chain's best ------------------
   for_each_chain(count, parallel, [&](std::size_t k) {
     Chain& c = *chains[k];
-    c.session.stats = c.annealer->finish(c.session, c.rng);
+    c.session.stats = c.annealer.finish(c.session, c.rng);
   });
 
   // --- pick the winner ---------------------------------------------------
@@ -264,7 +256,7 @@ ChainReport ChainOrchestrator::run(Floorplan3D& fp, const LayoutState& initial,
   // normalizers cover the rest).
   const auto chain_cost = [&](const Chain& c) {
     const CostBreakdown& b = c.session.stats.best_breakdown;
-    return rebased_cost(b.total, b.outline_penalty, c.eval->outline_weight(),
+    return rebased_cost(b.total, b.outline_penalty, c.eval.outline_weight(),
                         c.session.initial_outline_weight);
   };
   std::size_t winner = 0;
@@ -280,7 +272,10 @@ ChainReport ChainOrchestrator::run(Floorplan3D& fp, const LayoutState& initial,
     if (better) winner = k;
   }
 
-  chains[winner]->state.apply_to(fp);
+  // Chain 0 already is the caller's design.  Any other winner hands back
+  // its whole design -- layout, voltage indices and TSVs -- so the
+  // post-processing sees one chain's consistent state.
+  if (winner != 0) fp = chains[winner]->fp;
   report.winner = winner;
   report.chains.reserve(count);
   for (const auto& chain : chains)

@@ -1,11 +1,13 @@
 // tsc3d -- thermal side-channel-aware 3D floorplanning.
 //
-// ChainOrchestrator: parallel-tempering simulated annealing.  K
-// independent chains anneal the same design from the same initial state,
-// each on its own Floorplan3D copy with its own ThermalEngine, PowerBlur,
-// CostEvaluator, Annealer, and a deterministic per-chain RNG stream.
-// Chain k runs at temperature ladder_k * T0_k where the ladder rises
-// geometrically from 1 (coldest chain) to `ladder_ratio` (hottest); every
+// ChainOrchestrator: runs the annealing of every flow, from a single
+// plain SA chain up to parallel tempering.  K chains anneal the same
+// design from the same initial state, each with its own ThermalEngine,
+// CostEvaluator and Annealer.  Chain 0 anneals the caller's Floorplan3D
+// on the caller's RNG, so K = 1 is exactly a plain SA run; chains
+// 1..K-1 anneal private copies on per-chain RNG streams.  Chain k runs
+// at temperature ladder_k * T0_k where the ladder rises geometrically
+// from 1 (coldest chain) to `ladder_ratio` (hottest); every
 // `exchange_interval` stages, adjacent ladder neighbors propose to swap
 // their layouts with the standard replica-exchange Metropolis rule
 //
@@ -16,11 +18,11 @@
 // the paper runs over its Table 1 designs, spread over the machine's
 // cores.
 //
-// Determinism: chains only touch chain-local state between exchange
+// Determinism: chains only touch chain-local state between the stage
 // barriers, exchanges walk the ladder pairs in a fixed order with a
-// dedicated exchange RNG, and all chain seeds derive from the single
-// caller seed -- so the result is a pure function of (floorplan, initial
-// state, seed), independent of thread scheduling.
+// dedicated exchange RNG, and every other stream derives from one draw
+// of the caller's RNG -- so the result is a pure function of (floorplan,
+// initial state, RNG state), independent of thread scheduling.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +39,7 @@ namespace tsc3d::floorplan {
 
 /// Parallel-tempering configuration.
 struct ChainOptions {
-  /// Number of annealing chains; 1 falls back to a single plain SA run.
+  /// Number of annealing chains; 1 is a plain SA run (no exchanges).
   std::size_t chains = 1;
   /// Stages between exchange rounds (each chain runs this many stages,
   /// then the orchestrator proposes ladder-neighbor swaps).
@@ -56,7 +58,7 @@ struct ExchangeStats {
   std::size_t accepts = 0;
 };
 
-/// Outcome of a multi-chain run.
+/// Outcome of an annealing run.
 struct ChainReport {
   std::size_t winner = 0;              ///< index of the winning chain
   std::vector<AnnealStats> chains;     ///< per-chain annealing stats
@@ -67,12 +69,10 @@ struct ChainReport {
 /// Floorplanner from its options (kept separate so this header does not
 /// depend on floorplanner.hpp).
 struct ChainSetup {
-  ThermalConfig fast_thermal;        ///< fast-grid thermal config per chain
-  std::size_t blur_radius = 12;
-  /// Feed CostEvaluator::Options::detailed_engine with the chain's engine.
-  bool detailed_inner_thermal = false;
+  /// Fast-grid thermal config of each chain's in-loop engine; its grid
+  /// must match eval.leakage_grid.
+  ThermalConfig fast_thermal;
   thermal::ParallelConfig engine_parallel;  ///< sweep sharding per engine
-  /// Evaluator options; `detailed_engine` is overwritten per chain.
   CostEvaluator::Options eval;
   AnnealOptions anneal;
   ChainOptions chains;
@@ -84,21 +84,23 @@ class ChainOrchestrator {
  public:
   explicit ChainOrchestrator(ChainSetup setup);
 
-  /// Run the chains from `initial`; on return the winning chain's best
-  /// layout has been applied to `fp`.  Deterministic for a given
-  /// (fp, initial, seed) regardless of scheduling.
-  ChainReport run(Floorplan3D& fp, const LayoutState& initial,
-                  std::uint64_t seed);
-
-  /// Checkpointing variant: when `hooks->save` is set, snapshot every
-  /// chain at exchange barriers (each checkpoint embeds `flow_rng`, the
-  /// caller RNG's position, so the flow can be resumed end to end); when
-  /// `hooks->resume` is set, skip begin() and continue from the
-  /// checkpoint -- `initial` and `seed` are then ignored.  Resumed runs
-  /// are bitwise-identical to uninterrupted ones.
-  ChainReport run(Floorplan3D& fp, const LayoutState& initial,
-                  std::uint64_t seed, const ExplorationHooks* hooks,
-                  const Rng::State& flow_rng);
+  /// Anneal from `initial`.  Chain 0 works on `fp` and `rng` directly;
+  /// when K > 1, one draw of `rng` seeds chains 1..K-1 (which copy `fp`
+  /// before anything moves) and the exchange RNG.  On return `fp` holds
+  /// the winning chain's whole design -- best layout, voltage indices and
+  /// TSVs -- and `rng` is chain 0's stream position.  Deterministic for a
+  /// given (fp, initial, rng state) regardless of scheduling.
+  ///
+  /// Checkpointing: when `hooks->save` is set, every chain is snapshot at
+  /// the stage barrier every `hooks->checkpoint_interval` stages and at
+  /// the last one; when `hooks->resume` is set, begin() and the seed draw
+  /// are skipped and every chain (chain 0's RNG included) continues from
+  /// the checkpoint -- `initial` is then ignored.  Throws
+  /// std::invalid_argument when the checkpoint's chain count differs from
+  /// the setup's.  Resumed runs are bitwise-identical to uninterrupted
+  /// ones.
+  ChainReport run(Floorplan3D& fp, const LayoutState& initial, Rng& rng,
+                  const ExplorationHooks* hooks = nullptr);
 
   [[nodiscard]] const ChainSetup& setup() const { return setup_; }
 

@@ -27,25 +27,22 @@ CostWeights tsc_aware_weights() {
   return w;
 }
 
-CostEvaluator::CostEvaluator(Floorplan3D& fp, const thermal::PowerBlur& blur,
+CostEvaluator::CostEvaluator(Floorplan3D& fp, thermal::ThermalEngine& engine,
                              Options options)
     : fp_(fp),
-      blur_(blur),
+      engine_(engine),
       opt_(std::move(options)),
       timing_(fp, opt_.timing) {
   opt_.voltage.objective = opt_.voltage_objective;
-  if (opt_.detailed_engine != nullptr &&
-      (opt_.detailed_engine->nx() != opt_.leakage_grid ||
-       opt_.detailed_engine->ny() != opt_.leakage_grid))
+  if (engine_.nx() != opt_.leakage_grid || engine_.ny() != opt_.leakage_grid)
     throw std::invalid_argument(
-        "CostEvaluator: detailed_engine grid must match leakage_grid");
+        "CostEvaluator: engine grid must match leakage_grid");
   cached_correlation_.assign(fp_.tech().num_dies, 0.0);
   cached_entropy_.assign(fp_.tech().num_dies, 0.0);
 }
 
 void CostEvaluator::set_thermal_tolerance_scale(double scale) {
-  if (opt_.detailed_engine != nullptr)
-    opt_.detailed_engine->set_tolerance_scale(scale);
+  engine_.set_tolerance_scale(scale);
 }
 
 void CostEvaluator::measure_layout_terms_full(CostBreakdown& c) const {
@@ -187,7 +184,9 @@ void CostEvaluator::measure_voltage(CostBreakdown& c) {
 }
 
 void CostEvaluator::measure_thermal(CostBreakdown& c) {
-  // Fig. 3 inner flow: TSV placement -> fast thermal -> leakage analysis.
+  // Fig. 3 inner flow: TSV placement -> thermal analysis -> leakage
+  // analysis.  Successive layouts differ by one move, so the
+  // warm-started solve is cheap.
   tsv::place_signal_tsvs(fp_);
 
   const std::size_t g = opt_.leakage_grid;
@@ -195,15 +194,9 @@ void CostEvaluator::measure_thermal(CostBreakdown& c) {
   power_maps.reserve(fp_.tech().num_dies);
   for (std::size_t d = 0; d < fp_.tech().num_dies; ++d)
     power_maps.push_back(fp_.power_map(d, g, g));
-  const GridD tsv_map = fp_.tsv_density_map(g, g);
-  // Detailed in-loop thermal when an engine is wired up (successive
-  // layouts differ by one move, so the warm-started solve is cheap);
-  // the power-blurring estimate otherwise.
   const std::vector<GridD> temps =
-      opt_.detailed_engine != nullptr
-          ? opt_.detailed_engine->solve_steady(power_maps, tsv_map)
-                .die_temperature
-          : blur_.estimate(power_maps, tsv_map);
+      engine_.solve_steady(power_maps, fp_.tsv_density_map(g, g))
+          .die_temperature;
 
   double peak = 0.0;
   c.correlation.clear();

@@ -12,8 +12,11 @@
 // Terms are adaptively normalized to the value of the first evaluation so
 // the weights express relative importance, as in Corblivar.  Cheap terms
 // (packing, outline, wirelength, delay) are evaluated per move; expensive
-// terms (voltage assignment, fast thermal, correlation, entropy) are
-// refreshed at a configurable cadence (see annealer.hpp).
+// terms (voltage assignment, in-loop thermal, correlation, entropy) are
+// refreshed at a configurable cadence (see annealer.hpp).  The in-loop
+// thermal term is a detailed steady solve at leakage_grid resolution on
+// the evaluator's warm-started ThermalEngine: successive layouts differ
+// by one move, so each solve starts from the previous field.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +27,6 @@
 #include "leakage/spatial_entropy.hpp"
 #include "power/timing.hpp"
 #include "power/voltage.hpp"
-#include "thermal/power_blur.hpp"
 #include "thermal/thermal_engine.hpp"
 
 namespace tsc3d::floorplan {
@@ -59,7 +61,7 @@ struct CostBreakdown {
   double power_w = 0.0;
   double num_volumes = 0.0;
   double power_gradient = 0.0;
-  std::vector<double> correlation;  ///< per die, fast thermal estimate
+  std::vector<double> correlation;  ///< per die, in-loop thermal solve
   std::vector<double> entropy;      ///< per die
   double total = 0.0;
   bool fits_outline = false;
@@ -75,16 +77,8 @@ class CostEvaluator {
         power::VoltageObjective::power_aware;
     power::TimingOptions timing;
     power::VoltageOptions voltage;
-    std::size_t leakage_grid = 32;  ///< fast-analysis grid resolution
+    std::size_t leakage_grid = 32;  ///< in-loop analysis grid resolution
     leakage::SpatialEntropyOptions entropy_options;
-    /// When set, evaluate_thermal()/evaluate_full() solve the detailed
-    /// steady state on this engine (at leakage_grid resolution) instead
-    /// of the power-blurring estimate.  The engine's cached assembly and
-    /// warm-started solves keep this affordable inside the annealing
-    /// loop; the paper's fast-vs-detailed quality gap disappears at the
-    /// cost of a few SOR sweeps per refresh.  The engine must outlive the
-    /// evaluator and match leakage_grid.
-    thermal::ThermalEngine* detailed_engine = nullptr;
     /// The cheap terms are served from the floorplan's incremental caches
     /// (per-die bounds fed by the packer, per-net HPWL boxes, per-net
     /// Elmore stage delays), bitwise-equal to a full rescan as long as
@@ -101,15 +95,17 @@ class CostEvaluator {
 #endif
   };
 
-  /// `blur` provides the calibrated fast thermal model (32x32 by default).
-  CostEvaluator(Floorplan3D& fp, const thermal::PowerBlur& blur,
+  /// `engine` solves the in-loop thermal term; it must outlive the
+  /// evaluator and its grid must match `options.leakage_grid` (throws
+  /// std::invalid_argument otherwise).
+  CostEvaluator(Floorplan3D& fp, thermal::ThermalEngine& engine,
                 Options options);
 
   /// Cheap terms only; thermal and voltage terms are carried over from
   /// the last refresh (their cached raw values are reused).
   [[nodiscard]] CostBreakdown evaluate_cheap();
 
-  /// Cheap terms + TSV planning + fast thermal + correlation refresh;
+  /// Cheap terms + TSV planning + in-loop thermal + correlation refresh;
   /// voltage-assignment terms stay cached.  Cheap enough to run every
   /// few moves when the setup weights the correlation.
   [[nodiscard]] CostBreakdown evaluate_thermal();
@@ -169,12 +165,12 @@ class CostEvaluator {
   /// Restore a snapshot taken by checkpoint_state().  Same bracket rule.
   void restore_checkpoint_state(const CheckpointState& st);
 
-  /// Forward a tolerance-schedule scale to the detailed in-loop engine
-  /// (no-op on the power-blurring path): subsequent thermal solves stop
-  /// at tolerance_k * max(1, scale).  The annealer drives this per step
-  /// -- coarse solves while the search is hot and the proposed move is
-  /// large, full accuracy toward convergence -- while verification
-  /// engines (owned elsewhere) always keep scale 1.
+  /// Forward a tolerance-schedule scale to the in-loop engine:
+  /// subsequent thermal solves stop at tolerance_k * max(1, scale).  The
+  /// annealer drives this per step -- coarse solves while the search is
+  /// hot and the proposed move is large, full accuracy toward
+  /// convergence -- while verification engines (owned elsewhere) always
+  /// keep scale 1.
   void set_thermal_tolerance_scale(double scale);
 
   /// Current fixed-outline violation weight.  The annealer escalates it
@@ -203,7 +199,7 @@ class CostEvaluator {
   void init_normalizers(const CostBreakdown& c);
 
   Floorplan3D& fp_;
-  const thermal::PowerBlur& blur_;
+  thermal::ThermalEngine& engine_;
   Options opt_;
   /// Net topology is static during annealing; the timing engine is built
   /// once and reads module positions live.

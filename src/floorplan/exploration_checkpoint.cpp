@@ -39,7 +39,7 @@ LayoutState restore_layout(const LayoutStateImage& image) {
 
 ChainCheckpoint capture_chain(const AnnealSession& session, const Rng& rng,
                               const CostEvaluator& eval,
-                              const thermal::ThermalEngine* engine,
+                              const thermal::ThermalEngine& engine,
                               const Floorplan3D& fp) {
   if (session.state == nullptr)
     throw std::logic_error("capture_chain: session has no state");
@@ -62,10 +62,7 @@ ChainCheckpoint capture_chain(const AnnealSession& session, const Rng& rng,
   ck.stats = session.stats;
   ck.rng = rng.state();
   ck.eval = eval.checkpoint_state();
-  if (engine != nullptr && engine->stats().steady_solves > 0) {
-    ck.has_field = true;
-    ck.field = engine->save_field();
-  }
+  ck.field = engine.save_field();
   ck.voltage_index.reserve(fp.modules().size());
   for (const Module& m : fp.modules())
     ck.voltage_index.push_back(m.voltage_index);
@@ -74,7 +71,7 @@ ChainCheckpoint capture_chain(const AnnealSession& session, const Rng& rng,
 
 void restore_chain(const ChainCheckpoint& ck, AnnealSession& session,
                    LayoutState& state_storage, Rng& rng, CostEvaluator& eval,
-                   thermal::ThermalEngine* engine, Floorplan3D& fp) {
+                   thermal::ThermalEngine& engine, Floorplan3D& fp) {
   if (ck.voltage_index.size() != fp.modules().size())
     throw std::invalid_argument(
         "restore_chain: checkpoint module count does not match the design");
@@ -104,7 +101,7 @@ void restore_chain(const ChainCheckpoint& ck, AnnealSession& session,
   session.stats = ck.stats;
 
   rng.set_state(ck.rng);
-  if (engine != nullptr && ck.has_field) engine->restore_field(ck.field);
+  engine.restore_field(ck.field);
 
   // Publish the restored layout before the first move: the floorplan
   // still holds the design-file positions, and the transactional loop's

@@ -2,9 +2,9 @@
 //
 // Durable annealing checkpoints: everything a resumed exploration needs
 // to continue bitwise-identically to an uninterrupted run.  A checkpoint
-// is taken at a stage boundary (single chain) or an exchange barrier
-// (parallel tempering) -- the two places where no trial bracket is open
-// and no move is half-applied -- and covers, per chain:
+// is taken at the orchestrator's stage barrier -- where no trial bracket
+// is open and no move is half-applied -- for any chain count, and
+// covers, per chain:
 //
 //   * the layout state and the tracked best (sequence pairs, extents,
 //     die assignment),
@@ -13,12 +13,14 @@
 //   * the RNG stream position (including a pending cached gaussian),
 //   * the CostEvaluator's resumable state (adaptive normalizers, cached
 //     expensive terms, escalated outline weight),
-//   * the detailed in-loop engine's warm-start temperature field, and
+//   * the in-loop engine's warm-start temperature field, and
 //   * the per-module voltage assignment the last full evaluation wrote
 //     into the floorplan.
 //
-// Tempering checkpoints additionally carry the exchange RNG, the
-// completed-stage/round counters and the exchange stats.  The restored
+// Every checkpoint also carries the exchange RNG, the completed-stage/
+// round counters and the exchange stats (idle for a single chain).
+// Chain 0 runs on the flow's own RNG, so chains[0].rng is also the
+// position the post-processing continues from.  The restored
 // layout gets a FRESH tracking family, so the first apply_to() fully
 // repacks every die -- bitwise-identical positions, since positions are
 // a pure function of sequences and extents (tests/test_incremental_eval.cpp
@@ -81,23 +83,17 @@ struct ChainCheckpoint {
   AnnealStats stats;
   Rng::State rng;
   CostEvaluator::CheckpointState eval;
-  bool has_field = false;            ///< detailed engine warm field present
-  thermal::FieldSnapshot field;
+  thermal::FieldSnapshot field;      ///< in-loop engine warm field
   std::vector<std::uint64_t> voltage_index;  ///< per module, from the fp
 };
 
 /// A whole exploration at a checkpointable boundary: the flow-level
-/// state (clock budget, outer RNG) plus one ChainCheckpoint per chain.
+/// clock budget plus one ChainCheckpoint per chain (the chain count is
+/// chains.size()).
 struct ExplorationCheckpoint {
-  bool tempering = false;       ///< chains.size() > 1 path
   double clock_period_ns = 0.0; ///< auto-derived timing budget
-  /// The flow RNG's position: for a single chain this is the (only)
-  /// move RNG, duplicated in chains[0].rng; for tempering it is the
-  /// caller RNG after the orchestrator seed draw (consumed again by the
-  /// dummy-TSV post-processing).
-  Rng::State flow_rng;
   std::vector<ChainCheckpoint> chains;
-  // --- tempering only ---------------------------------------------------
+  // --- replica exchange -------------------------------------------------
   Rng::State exchange_rng;
   std::uint64_t done_stages = 0;
   std::uint64_t round = 0;
@@ -105,9 +101,9 @@ struct ExplorationCheckpoint {
 };
 
 /// Checkpoint plumbing for Floorplanner::run: `save` (when set) is
-/// called at every stage boundary / exchange barrier where the completed
-/// stage count is a multiple of `checkpoint_interval`, plus the final
-/// boundary before finish(); `resume` (when set) skips initialization
+/// called at every stage barrier where the completed stage count is a
+/// multiple of `checkpoint_interval`, plus the final barrier before
+/// finish(); `resume` (when set) skips initialization
 /// and continues from the checkpoint instead.  The caller owns matching
 /// the resume checkpoint to the (design, options, seed) of the run --
 /// the service layer does so by hashing all three into the file identity.
@@ -118,13 +114,13 @@ struct ExplorationHooks {
 };
 
 /// Snapshot one chain at a stage boundary.  `engine` is the evaluator's
-/// detailed in-loop engine or null; `fp` is the chain's floorplan (for
-/// the voltage assignment).  Throws std::logic_error if the evaluator
-/// has an open trial bracket.
+/// in-loop engine; `fp` is the chain's floorplan (for the voltage
+/// assignment).  Throws std::logic_error if the evaluator has an open
+/// trial bracket or the engine has not solved yet (begin() always has).
 [[nodiscard]] ChainCheckpoint capture_chain(const AnnealSession& session,
                                             const Rng& rng,
                                             const CostEvaluator& eval,
-                                            const thermal::ThermalEngine* engine,
+                                            const thermal::ThermalEngine& engine,
                                             const Floorplan3D& fp);
 
 /// Restore one chain: rebuilds `state_storage` and `session` (pointing
@@ -133,6 +129,6 @@ struct ExplorationHooks {
 /// post-resume move sees exactly the positions the capture-time run saw.
 void restore_chain(const ChainCheckpoint& ck, AnnealSession& session,
                    LayoutState& state_storage, Rng& rng, CostEvaluator& eval,
-                   thermal::ThermalEngine* engine, Floorplan3D& fp);
+                   thermal::ThermalEngine& engine, Floorplan3D& fp);
 
 }  // namespace tsc3d::floorplan

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 
 #include "leakage/activity.hpp"
 #include "leakage/pearson.hpp"
-#include "thermal/power_blur.hpp"
 #include "tsv/planner.hpp"
 
 namespace tsc3d::floorplan {
@@ -28,9 +26,9 @@ FloorplannerOptions Floorplanner::tsc_aware_setup() {
   o.voltage.objective = power::VoltageObjective::tsc_aware;
   o.dummy_insertion = true;
   // Leakage terms need fresh thermal estimates to provide a usable
-  // gradient to the annealer: refresh the fast thermal analysis every few
-  // moves (power blurring makes this affordable; the voltage assignment
-  // stays on the slower full-eval cadence).
+  // gradient to the annealer: refresh the in-loop thermal analysis every
+  // few moves (warm-started solves make this affordable; the voltage
+  // assignment stays on the slower full-eval cadence).
   o.anneal.thermal_eval_interval = 10;
   return o;
 }
@@ -45,19 +43,22 @@ FloorplanMetrics Floorplanner::run(Floorplan3D& fp, Rng& rng,
   FloorplanMetrics metrics;
   const ExplorationCheckpoint* resume = hooks.resume;
 
-  // --- cost evaluator options with the mode's weights -------------------
-  ThermalConfig fast_cfg = opt_.thermal;
-  fast_cfg.grid_nx = fast_cfg.grid_ny = opt_.fast_grid;
-  CostEvaluator::Options eval_opt;
-  eval_opt.weights = opt_.mode == FlowMode::power_aware
-                         ? power_aware_weights()
-                         : tsc_aware_weights();
-  eval_opt.voltage_objective = opt_.voltage.objective;
-  eval_opt.timing = opt_.timing;
-  eval_opt.voltage = opt_.voltage;
-  eval_opt.leakage_grid = opt_.fast_grid;
-  eval_opt.entropy_options = opt_.entropy;
-  eval_opt.cross_check_interval = opt_.cross_check_interval;
+  // --- annealing setup with the mode's weights ---------------------------
+  ChainSetup setup;
+  setup.fast_thermal = opt_.thermal;
+  setup.fast_thermal.grid_nx = setup.fast_thermal.grid_ny = opt_.fast_grid;
+  setup.engine_parallel = opt_.parallel;
+  setup.eval.weights = opt_.mode == FlowMode::power_aware
+                           ? power_aware_weights()
+                           : tsc_aware_weights();
+  setup.eval.voltage_objective = opt_.voltage.objective;
+  setup.eval.timing = opt_.timing;
+  setup.eval.voltage = opt_.voltage;
+  setup.eval.leakage_grid = opt_.fast_grid;
+  setup.eval.entropy_options = opt_.entropy;
+  setup.eval.cross_check_interval = opt_.cross_check_interval;
+  setup.anneal = opt_.anneal;
+  setup.chains = opt_.chains;
 
   // --- simulated annealing ------------------------------------------------
   LayoutState state;
@@ -73,78 +74,15 @@ FloorplanMetrics Floorplanner::run(Floorplan3D& fp, Rng& rng,
           1e-3);
     }
   } else {
-    // Resume: the initial-layout construction, the auto-clock derivation
-    // and (for tempering) the orchestrator seed draw all consumed RNG in
-    // the original run; their outcomes -- and the stream position after
-    // them -- come back from the checkpoint instead of being replayed.
+    // Resume: the initial-layout construction and the auto-clock
+    // derivation consumed RNG in the original run; the clock comes back
+    // from the checkpoint, and the orchestrator restores every RNG
+    // position (chain 0's is `rng`'s).
     fp.tech().clock_period_ns = resume->clock_period_ns;
-    rng.set_state(resume->flow_rng);
   }
-  if (opt_.chains.chains > 1) {
-    if (resume != nullptr && !resume->tempering)
-      throw std::invalid_argument(
-          "Floorplanner: single-chain checkpoint cannot resume a tempering "
-          "run");
-    // Parallel tempering: K chains, each with its own design copy and
-    // thermal/cost machinery, exchange states on a temperature ladder.
-    ChainSetup setup;
-    setup.fast_thermal = fast_cfg;
-    setup.blur_radius = opt_.blur_radius;
-    setup.detailed_inner_thermal = opt_.detailed_inner_thermal;
-    setup.engine_parallel = opt_.parallel;
-    setup.eval = eval_opt;
-    setup.anneal = opt_.anneal;
-    setup.chains = opt_.chains;
-    ChainOrchestrator orchestrator(std::move(setup));
-    if (hooks.save || resume != nullptr) {
-      const std::uint64_t seed = resume == nullptr ? rng() : 0;
-      metrics.chains = orchestrator.run(fp, state, seed, &hooks, rng.state());
-    } else {
-      metrics.chains = orchestrator.run(fp, state, rng());
-    }
-    metrics.anneal = metrics.chains.chains[metrics.chains.winner];
-  } else {
-    if (resume != nullptr && (resume->tempering || resume->chains.size() != 1))
-      throw std::invalid_argument(
-          "Floorplanner: tempering checkpoint cannot resume a single-chain "
-          "run");
-    // Single chain: one fast engine serves the whole in-loop resolution
-    // (power-blur calibration and, optionally, the detailed in-loop
-    // solves); its cached assembly and warm-start state persist across
-    // the annealing run.
-    thermal::ThermalEngine fast_engine(fp.tech(), fast_cfg, opt_.parallel,
-                                       thermal::EngineRole::fast_loop);
-    const thermal::PowerBlur blur(fast_engine, opt_.blur_radius);
-    if (opt_.detailed_inner_thermal) eval_opt.detailed_engine = &fast_engine;
-    CostEvaluator evaluator(fp, blur, eval_opt);
-    Annealer annealer(fp, evaluator, opt_.anneal);
-    thermal::ThermalEngine* engine = eval_opt.detailed_engine;
-    AnnealSession session;
-    if (resume != nullptr) {
-      restore_chain(resume->chains[0], session, state, rng, evaluator,
-                    engine, fp);
-    } else {
-      session = annealer.begin(state, rng);
-    }
-    const std::size_t save_interval =
-        std::max<std::size_t>(1, hooks.checkpoint_interval);
-    while (annealer.run_stage(session, rng)) {
-      // Checkpoint at the stage boundary (no bracket open, no move
-      // half-applied); the final boundary always saves so a crash during
-      // finish() resumes with zero stages left to redo.
-      if (hooks.save && (session.stage % save_interval == 0 ||
-                         session.stage >= opt_.anneal.stages)) {
-        ExplorationCheckpoint ck;
-        ck.tempering = false;
-        ck.clock_period_ns = fp.tech().clock_period_ns;
-        ck.flow_rng = rng.state();
-        ck.chains.push_back(
-            capture_chain(session, rng, evaluator, engine, fp));
-        hooks.save(ck);
-      }
-    }
-    metrics.anneal = annealer.finish(session, rng);
-  }
+  ChainOrchestrator orchestrator(std::move(setup));
+  metrics.chains = orchestrator.run(fp, state, rng, &hooks);
+  metrics.anneal = metrics.chains.chains[metrics.chains.winner];
   metrics.legal = fp.check_legality().legal;
 
   // --- final TSV placement and voltage assignment -----------------------

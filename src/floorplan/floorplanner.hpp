@@ -3,10 +3,12 @@
 // Floorplanner: the complete flow of Fig. 3.
 //
 //   3D floorplanning input
-//     -> [SA loop] layout generation -> TSV placement -> leakage-aware
-//        power/thermal management (voltage assignment) -> fast thermal
-//        analysis -> leakage analysis (Eq. 1 correlation + Eq. 3 spatial
-//        entropy) -> evaluation of timing paths -> cost -> adapt solution
+//     -> [SA loop, driven by ChainOrchestrator for any chain count]
+//        layout generation -> TSV placement -> leakage-aware
+//        power/thermal management (voltage assignment) -> in-loop thermal
+//        analysis (warm-started detailed solves at the fast grid) ->
+//        leakage analysis (Eq. 1 correlation + Eq. 3 spatial entropy) ->
+//        evaluation of timing paths -> cost -> adapt solution
 //     -> [post-processing] sampling of Gaussian-distributed activities ->
 //        correlation-based insertion of dummy thermal TSVs (sweet-spot
 //        stop criterion)
@@ -42,15 +44,13 @@ struct FloorplannerOptions {
   power::VoltageOptions voltage;
   leakage::SpatialEntropyOptions entropy;
 
-  /// Grid resolution of the fast in-loop analysis (power blurring and
+  /// Grid resolution of the in-loop analysis (thermal solves and
   /// leakage estimation).
   std::size_t fast_grid = 32;
   /// Grid resolution of the detailed verification solve.
   std::size_t verify_grid = 64;
   /// Grid resolution of the activity-sampling solves (dummy-TSV loop).
   std::size_t sampling_grid = 32;
-  /// Kernel half-width of the power-blurring masks [bins].
-  std::size_t blur_radius = 12;
 
   ThermalConfig thermal;  ///< material/boundary parameters (grids overridden)
   tsv::DummyInsertOptions dummy;
@@ -65,25 +65,15 @@ struct FloorplannerOptions {
   /// voltage assignment has real slack structure to work with (cf. the
   /// red high-voltage modules of Fig. 4a).  0 keeps the configured clock.
   double auto_clock_factor = 0.9;
-  /// Replace the power-blurring estimate inside the SA loop with detailed
-  /// warm-started ThermalEngine solves at fast_grid resolution.  Closes
-  /// the fast-vs-detailed quality gap the paper concedes (Sec. 6):
-  /// across Table 1 it lowers the verified peak temperature.  On by
-  /// default: warm starts and the move/temperature-aware tolerance
-  /// schedule (AnnealOptions::inner_tolerance_scale) keep the detailed loop
-  /// within ~1.1-1.3x of the blurred loop's runtime at an equal move
-  /// budget (see README "Performance").  Set false to restore the
-  /// paper's fast estimate.
-  bool detailed_inner_thermal = true;
   /// Worker threads for every ThermalEngine the flow creates (fast,
   /// sampling, verification): large single solves shard their sweeps.
   /// threads == 1 keeps everything serial; threaded results are bitwise
   /// identical.
   thermal::ParallelConfig parallel;
-  /// Parallel-tempering annealing: chains.chains > 1 replaces the single
-  /// SA run with that many concurrent chains plus periodic replica
-  /// exchange (see chain_orchestrator.hpp).  Note total thread use is
-  /// chains.chains * parallel.threads when both are raised.
+  /// Parallel-tempering annealing: chains.chains > 1 runs that many
+  /// concurrent chains plus periodic replica exchange instead of one
+  /// plain SA chain (see chain_orchestrator.hpp).  Note total thread use
+  /// is chains.chains * parallel.threads when both are raised.
   ChainOptions chains;
   /// Cross-check cadence for the incremental move evaluation (0 = never):
   /// every Nth cheap evaluation recomputes the layout terms by full
@@ -112,9 +102,9 @@ struct FloorplanMetrics {
   double runtime_s = 0.0;
   bool legal = false;
   // --- traces ---------------------------------------------------------------
-  AnnealStats anneal;   ///< winning chain's stats when tempering ran
+  AnnealStats anneal;   ///< the winning chain's stats
   tsv::DummyInsertResult dummy;
-  /// Multi-chain trace; `chains.chains` is empty for single-chain runs.
+  /// Per-chain trace: one entry per chain, a single chain included.
   ChainReport chains;
 };
 
@@ -127,9 +117,10 @@ class Floorplanner {
   FloorplanMetrics run(Floorplan3D& fp, Rng& rng) const;
 
   /// Checkpointing variant (see exploration_checkpoint.hpp): `hooks.save`
-  /// snapshots the annealing state at stage boundaries (single chain) or
-  /// exchange barriers (tempering); `hooks.resume` continues from a
-  /// snapshot instead of initializing -- the resumed flow's final layout,
+  /// snapshots every chain at the orchestrator's stage barriers;
+  /// `hooks.resume` continues from a snapshot instead of initializing
+  /// (throwing std::invalid_argument when its chain count differs from
+  /// options().chains.chains) -- the resumed flow's final layout,
   /// metrics (runtime aside) and RNG position are bitwise-identical to an
   /// uninterrupted run's.  The caller guarantees the checkpoint belongs
   /// to this exact (design, options, seed); the batch service does so by

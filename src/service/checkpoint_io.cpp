@@ -160,7 +160,6 @@ void put_chain(ByteWriter& w, const floorplan::ChainCheckpoint& c) {
   put_stats(w, c.stats);
   put_rng(w, c.rng);
   put_eval(w, c.eval);
-  w.boolean(c.has_field);
   w.vec_f64(c.field.temp);
   w.vec_u64(c.voltage_index);
 }
@@ -185,7 +184,6 @@ floorplan::ChainCheckpoint get_chain(ByteReader& r) {
   c.stats = get_stats(r);
   c.rng = get_rng(r);
   c.eval = get_eval(r);
-  c.has_field = r.boolean();
   c.field.temp = r.vec_f64();
   c.voltage_index = r.vec_u64();
   return c;
@@ -230,9 +228,7 @@ void save_checkpoint_file(const std::filesystem::path& path,
                           const floorplan::ExplorationCheckpoint& ck) {
   ByteWriter payload;
   put_context(payload, context);
-  payload.boolean(ck.tempering);
   payload.f64(ck.clock_period_ns);
-  put_rng(payload, ck.flow_rng);
   payload.u64(ck.chains.size());
   for (const floorplan::ChainCheckpoint& c : ck.chains) put_chain(payload, c);
   put_rng(payload, ck.exchange_rng);
@@ -252,9 +248,7 @@ CheckpointLoad load_checkpoint_file(const std::filesystem::path& path,
   out.reason = read_frame(path, kFrame, [&](ByteReader& r) {
     std::string mismatch = context_mismatch(get_context(r), expect);
     if (!mismatch.empty()) return mismatch;
-    ck.tempering = r.boolean();
     ck.clock_period_ns = r.f64();
-    ck.flow_rng = get_rng(r);
     const std::uint64_t chains = r.u64();
     ck.chains.reserve(static_cast<std::size_t>(chains));
     for (std::uint64_t k = 0; k < chains; ++k)

@@ -18,14 +18,22 @@
 
 namespace tsc3d::service {
 
-// tsc3d-10: thermal.solver defaults to auto (per-role backend selection)
-// and cold multigrid solves are FMG-seeded -- verification/sampling
-// temperatures, and thus cached results, change within solver accuracy.
-inline constexpr const char* kCodeVersion = "tsc3d-10";
+// tsc3d-11: every run anneals through the chain orchestrator, and the
+// in-loop thermal term always comes from the chain's own warm-started
+// engine (the power-blurring loop is gone).
+//   * Tempering runs change: chain 0 now draws from the caller's RNG,
+//     the dummy-TSV stage continues from chain 0's RNG position, and the
+//     winner's voltages and TSVs are handed back with its layout.
+//   * Single-chain runs keep their moves and placements on the designs
+//     measured; the in-loop engine now starts cold instead of warmed by
+//     the blur calibration, so the final scale-1 re-measure -- and with
+//     it AnnealStats::best_cost -- moves in its last digits.
+inline constexpr const char* kCodeVersion = "tsc3d-11";
 
-// Checkpoint format 2: a layout image no longer stores a tracking flag
-// (every restored layout is tracked).
-inline constexpr unsigned kCheckpointFormatVersion = 2;
+// Checkpoint format 3: no tempering flag and no flow RNG (the chain count
+// is the chain list's length, and chain 0 runs on the flow RNG), and no
+// warm-field flag (every capture follows an in-loop solve).
+inline constexpr unsigned kCheckpointFormatVersion = 3;
 inline constexpr unsigned kResultFormatVersion = 1;
 inline constexpr unsigned kScenarioFormatVersion = 1;
 

@@ -3,9 +3,12 @@
 // PowerBlur: Corblivar-style fast thermal analysis via "power blurring".
 // The steady-state thermal map of each die is approximated as the
 // convolution of the per-die power maps with impulse-response kernels,
-// which are calibrated once against the detailed GridSolver (the same
-// fast-vs-detailed split the paper uses, Sec. 6: the fast analysis drives
-// the floorplanning loop; HotSpot-style verification runs afterwards).
+// which are calibrated once against the detailed GridSolver (the
+// fast-vs-detailed split the paper uses, Sec. 6: there the fast analysis
+// drives the floorplanning loop and HotSpot-style verification runs
+// afterwards).  tsc3d's loop solves the detailed model on a warm-started
+// engine instead; PowerBlur stays as the paper's fast model for the
+// Sec. 6 comparison (bench/ablation_fast_thermal).
 //
 // Kernels are calibrated per (source die, target die) pair for two TSV
 // regimes (no TSVs / full TSV coverage) and linearly blended per source

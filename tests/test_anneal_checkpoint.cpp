@@ -5,9 +5,10 @@
 // capture the complete annealing state (layout, RNG, cost normalizers,
 // stage counters, thermal warm field, per-chain tempering state).
 //
-// Covered paths: single chain and parallel tempering; plus the
-// observer property (saving checkpoints perturbs nothing) and the
-// resume-at-final-stage edge.
+// Covered paths: single chain and parallel tempering, the latter also
+// from a stage between two exchange rounds; plus the observer property
+// (saving checkpoints perturbs nothing), the resume-at-final-stage edge
+// and the chain-count check.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -39,7 +40,6 @@ FloorplannerOptions fast_options() {
   o.fast_grid = 16;
   o.verify_grid = 24;
   o.sampling_grid = 16;
-  o.blur_radius = 5;
   return o;
 }
 
@@ -108,6 +108,11 @@ void expect_bitwise_equal(const RunOutcome& a, const RunOutcome& b) {
   EXPECT_EQ(a.metrics.anneal.moves, b.metrics.anneal.moves);
   EXPECT_EQ(a.metrics.anneal.accepted, b.metrics.anneal.accepted);
   EXPECT_EQ(a.metrics.anneal.best_cost, b.metrics.anneal.best_cost);
+  EXPECT_EQ(a.metrics.chains.winner, b.metrics.chains.winner);
+  EXPECT_EQ(a.metrics.chains.exchange.rounds,
+            b.metrics.chains.exchange.rounds);
+  EXPECT_EQ(a.metrics.chains.exchange.accepts,
+            b.metrics.chains.exchange.accepts);
   EXPECT_TRUE(a.rng == b.rng) << "final RNG stream positions differ";
 }
 
@@ -138,9 +143,28 @@ TEST(AnnealCheckpoint, TemperingPathResumesBitwise) {
   check_resume_bitwise(opt, 13);
 }
 
+TEST(AnnealCheckpoint, TemperingResumesBetweenExchanges) {
+  // Tempering snapshots every stage barrier, not only the exchange
+  // barriers: a snapshot taken between two exchange rounds carries the
+  // round counter and the exchange RNG, and resumes bitwise too.
+  FloorplannerOptions opt = fast_options();
+  opt.chains.chains = 3;
+  opt.chains.exchange_interval = 2;
+  const RunOutcome reference = run_flow(opt, 17, nullptr, nullptr);
+  std::vector<ExplorationCheckpoint> snapshots;
+  (void)run_flow(opt, 17, &snapshots, nullptr);
+  ASSERT_EQ(snapshots.size(), opt.anneal.stages);
+  const ExplorationCheckpoint& odd = snapshots[2];
+  ASSERT_EQ(odd.done_stages, 3u);
+  ASSERT_EQ(odd.round, 1u);  // the stage-2 exchange round is folded in
+  ASSERT_EQ(odd.chains.size(), 3u);
+  const RunOutcome resumed = run_flow(opt, 17, nullptr, &odd);
+  expect_bitwise_equal(reference, resumed);
+}
+
 TEST(AnnealCheckpoint, ResumeFromEveryEarlySnapshotMatches) {
   // Not just the midpoint: the first snapshots cover the coldest caches
-  // (thermal warm field absent vs present, normalizers still settling).
+  // (a warm field one stage old, normalizers fresh from begin()).
   const FloorplannerOptions opt = fast_options();
   const RunOutcome reference = run_flow(opt, 23, nullptr, nullptr);
   std::vector<ExplorationCheckpoint> snapshots;
@@ -166,13 +190,20 @@ TEST(AnnealCheckpoint, ResumeFromFinalSnapshotRunsZeroStages) {
 
 TEST(AnnealCheckpoint, ResumeRejectsChainShapeMismatch) {
   FloorplannerOptions opt = fast_options();
-  std::vector<ExplorationCheckpoint> snapshots;
-  (void)run_flow(opt, 31, &snapshots, nullptr);
-  ASSERT_FALSE(snapshots.empty());
-  // A single-chain snapshot fed to a tempering run (and vice versa)
-  // must be rejected loudly, not silently misapplied.
+  std::vector<ExplorationCheckpoint> single;
+  (void)run_flow(opt, 31, &single, nullptr);
+  ASSERT_FALSE(single.empty());
+  // The checkpoint's chain count must match the run's: a one-chain
+  // snapshot fed to a three-chain run (and vice versa) is rejected
+  // loudly, not silently misapplied.
   opt.chains.chains = 3;
-  EXPECT_THROW((void)run_flow(opt, 31, nullptr, &snapshots.front()),
+  EXPECT_THROW((void)run_flow(opt, 31, nullptr, &single.front()),
+               std::invalid_argument);
+  std::vector<ExplorationCheckpoint> tempering;
+  (void)run_flow(opt, 31, &tempering, nullptr);
+  ASSERT_FALSE(tempering.empty());
+  opt.chains.chains = 1;
+  EXPECT_THROW((void)run_flow(opt, 31, nullptr, &tempering.front()),
                std::invalid_argument);
 }
 

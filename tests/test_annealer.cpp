@@ -6,7 +6,6 @@
 
 #include "benchgen/generator.hpp"
 #include "floorplan/annealer.hpp"
-#include "thermal/power_blur.hpp"
 
 namespace tsc3d::floorplan {
 namespace {
@@ -27,6 +26,12 @@ ThermalConfig fast_cfg() {
   ThermalConfig c;
   c.grid_nx = c.grid_ny = 16;
   return c;
+}
+
+/// The in-loop engine the flow gives every chain, at the test grid.
+thermal::ThermalEngine fast_engine(const Floorplan3D& fp) {
+  return thermal::ThermalEngine(fp.tech(), fast_cfg(), {},
+                                thermal::EngineRole::fast_loop);
 }
 
 TEST(LayoutState, InitialCoversAllModules) {
@@ -89,10 +94,7 @@ TEST(LayoutState, ApplyRequiresTracking) {
 
 class AnnealerFixture : public ::testing::Test {
  protected:
-  AnnealerFixture()
-      : fp_(small_instance(4)),
-        solver_(fp_.tech(), fast_cfg()),
-        blur_(solver_, 5) {}
+  AnnealerFixture() : fp_(small_instance(4)), engine_(fast_engine(fp_)) {}
 
   CostEvaluator::Options eval_options(bool tsc) {
     CostEvaluator::Options o;
@@ -102,12 +104,11 @@ class AnnealerFixture : public ::testing::Test {
   }
 
   Floorplan3D fp_;
-  thermal::GridSolver solver_;
-  thermal::PowerBlur blur_;
+  thermal::ThermalEngine engine_;
 };
 
 TEST_F(AnnealerFixture, FindsLegalFloorplan) {
-  CostEvaluator eval(fp_, blur_, eval_options(false));
+  CostEvaluator eval(fp_, engine_, eval_options(false));
   AnnealOptions opt;
   opt.total_moves = 4000;
   opt.stages = 20;
@@ -125,7 +126,7 @@ TEST_F(AnnealerFixture, FindsLegalFloorplan) {
 }
 
 TEST_F(AnnealerFixture, ImprovesOverInitialCost) {
-  CostEvaluator eval(fp_, blur_, eval_options(false));
+  CostEvaluator eval(fp_, engine_, eval_options(false));
   Rng rng(8);
   LayoutState state = LayoutState::initial(fp_, rng);
   state.apply_to(fp_);
@@ -152,11 +153,10 @@ TEST_F(AnnealerFixture, EscalationRaisesOutlineWeightWhileIllegal) {
   benchgen::GeneratorOptions gen;
   gen.target_utilization = 0.85;
   Floorplan3D fp = benchgen::generate(spec, 17, gen);
-  thermal::GridSolver solver(fp.tech(), fast_cfg());
-  thermal::PowerBlur blur(solver, 5);
+  thermal::ThermalEngine engine = fast_engine(fp);
   CostEvaluator::Options o;
   o.leakage_grid = 16;
-  CostEvaluator eval(fp, blur, o);
+  CostEvaluator eval(fp, engine, o);
   const double w0 = eval.outline_weight();
 
   AnnealOptions opt;
@@ -174,7 +174,7 @@ TEST_F(AnnealerFixture, EscalationRaisesOutlineWeightWhileIllegal) {
 }
 
 TEST_F(AnnealerFixture, EscalationCanBeDisabled) {
-  CostEvaluator eval(fp_, blur_, eval_options(false));
+  CostEvaluator eval(fp_, engine_, eval_options(false));
   const double w0 = eval.outline_weight();
   AnnealOptions opt;
   opt.total_moves = 500;
@@ -190,7 +190,7 @@ TEST_F(AnnealerFixture, EscalationCanBeDisabled) {
 
 TEST_F(AnnealerFixture, RepairPhaseRunsOnlyWhenIllegal) {
   // Roomy instance: SA finds a legal plan, so no repair moves are spent.
-  CostEvaluator eval(fp_, blur_, eval_options(false));
+  CostEvaluator eval(fp_, engine_, eval_options(false));
   AnnealOptions opt;
   opt.total_moves = 4000;
   opt.stages = 20;
@@ -217,11 +217,10 @@ TEST_F(AnnealerFixture, CrowdedInstanceBecomesLegalWithFullMachinery) {
   benchgen::GeneratorOptions gen;
   gen.target_utilization = 0.80;
   Floorplan3D fp = benchgen::generate(spec, 23, gen);
-  thermal::GridSolver solver(fp.tech(), fast_cfg());
-  thermal::PowerBlur blur(solver, 5);
+  thermal::ThermalEngine engine = fast_engine(fp);
   CostEvaluator::Options o;
   o.leakage_grid = 16;
-  CostEvaluator eval(fp, blur, o);
+  CostEvaluator eval(fp, engine, o);
   AnnealOptions opt;
   opt.total_moves = 8000;
   opt.stages = 25;
@@ -242,11 +241,10 @@ TEST_F(AnnealerFixture, DeterministicGivenSeed) {
 
   auto run_once = [&](std::uint64_t seed) {
     Floorplan3D fp = small_instance(4);
-    thermal::GridSolver solver(fp.tech(), fast_cfg());
-    thermal::PowerBlur blur(solver, 5);
+    thermal::ThermalEngine engine = fast_engine(fp);
     CostEvaluator::Options o;
     o.leakage_grid = 16;
-    CostEvaluator eval(fp, blur, o);
+    CostEvaluator eval(fp, engine, o);
     Annealer annealer(fp, eval, opt);
     Rng rng(seed);
     LayoutState state = LayoutState::initial(fp, rng);

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "campaign/matrix.hpp"
 #include "campaign/options.hpp"
 #include "campaign/pareto.hpp"
@@ -27,8 +29,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// A fresh directory private to this test process: two test runs (two
+/// build trees, or `ctest -j` siblings) never share or remove each
+/// other's files.
 fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       (name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
@@ -154,11 +160,13 @@ TEST(CampaignMatrix, ExplorationSpecStripsOnlyTheScenarioAnnotations) {
   // Scenario jobs differing only in attack/mitigation share the same
   // exploration (and thus one cached floorplan result).
   const service::JobSpec& a = jobs.front();
-  for (const service::JobSpec& b : jobs)
+  for (const service::JobSpec& b : jobs) {
     if (b.flavor == a.flavor && b.seed == a.seed &&
-        (b.scenario != a.scenario || b.mitigation != a.mitigation))
+        (b.scenario != a.scenario || b.mitigation != a.mitigation)) {
       EXPECT_EQ(service::job_id(exploration_spec(a)),
                 service::job_id(exploration_spec(b)));
+    }
+  }
 }
 
 TEST(CampaignMatrix, ScenarioJobTextRoundTripsAndPlainIdsAreUnchanged) {
@@ -313,6 +321,7 @@ TEST(CampaignScenarioIo, CacheMissesOnContextMismatchNeverWrongHits) {
 // --- the determinism contract -------------------------------------------
 
 struct CampaignRun {
+  fs::path queue_dir;
   std::vector<ScenarioResult> results;
   std::string scenarios_csv;
   std::string pareto_csv;
@@ -322,8 +331,10 @@ struct CampaignRun {
 
 CampaignRun run_campaign(const std::string& tag, std::size_t workers,
                          const std::string& shared_cache_dir) {
+  CampaignRun run;
+  run.queue_dir = fresh_dir("campaign_run_" + tag);
   service::ServiceOptions sopt;
-  sopt.queue_dir = fresh_dir("campaign_run_" + tag).string();
+  sopt.queue_dir = run.queue_dir.string();
   sopt.cache_dir = shared_cache_dir;
   service::JobQueue queue(sopt);
 
@@ -332,7 +343,6 @@ CampaignRun run_campaign(const std::string& tag, std::size_t workers,
   const std::vector<ScenarioWorkReport> reports =
       drain(queue, plan.options, workers);
 
-  CampaignRun run;
   EXPECT_EQ(reports.size(), plan.jobs.size());
   for (const ScenarioWorkReport& r : reports) {
     EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
@@ -356,10 +366,8 @@ TEST(CampaignParallel, WorkerCountAndCacheStateNeverChangeTheReport) {
 
   // Third run on a fresh queue sharing the serial run's cache: every
   // scenario is served from cache, and nothing in the report moves.
-  const std::string cache_dir =
-      (fs::path(::testing::TempDir()) / "campaign_run_serial" / "cache")
-          .string();
-  const CampaignRun cached = run_campaign("cached", 2, cache_dir);
+  const CampaignRun cached =
+      run_campaign("cached", 2, (serial.queue_dir / "cache").string());
   EXPECT_EQ(cached.cache_hits, cached.results.size());
   EXPECT_EQ(serial.results, cached.results);
   EXPECT_EQ(serial.scenarios_csv, cached.scenarios_csv);

@@ -1,7 +1,9 @@
-// Tests of the parallel-tempering chain orchestrator: determinism under
-// a fixed seed regardless of scheduling (threaded vs sequential chains),
-// exchange-acceptance bookkeeping on a tiny temperature ladder, and the
-// Floorplanner-level wiring.  The suites run under TSan on CI.
+// Tests of the chain orchestrator, which runs every flow's annealing:
+// a single chain reproduces the plain staged annealer bitwise,
+// determinism under a fixed seed regardless of scheduling (threaded vs
+// sequential chains), exchange-acceptance bookkeeping on a tiny
+// temperature ladder, and the Floorplanner-level wiring.  The suites run
+// under TSan on CI.
 #include <gtest/gtest.h>
 
 #include "benchgen/generator.hpp"
@@ -25,7 +27,6 @@ Floorplan3D small_instance(std::uint64_t seed) {
 ChainSetup small_setup(std::size_t chains, bool parallel = true) {
   ChainSetup s;
   s.fast_thermal.grid_nx = s.fast_thermal.grid_ny = 16;
-  s.blur_radius = 5;
   s.eval.weights = power_aware_weights();
   s.eval.leakage_grid = 16;
   s.anneal.total_moves = 1600;
@@ -42,19 +43,50 @@ struct RunResult {
   ChainReport report;
   std::vector<Rect> shapes;
   std::vector<std::size_t> dies;
+  std::vector<std::size_t> voltages;
+  Rng::State rng;
 };
 
-RunResult run_once(const ChainSetup& setup, std::uint64_t seed) {
-  Floorplan3D fp = small_instance(11);
-  Rng rng(3);
-  const LayoutState initial = LayoutState::initial(fp, rng);
-  ChainOrchestrator orchestrator(setup);
-  RunResult out;
-  out.report = orchestrator.run(fp, initial, seed);
+void record_design(const Floorplan3D& fp, const Rng& rng, RunResult& out) {
   for (const Module& m : fp.modules()) {
     out.shapes.push_back(m.shape);
     out.dies.push_back(m.die);
+    out.voltages.push_back(m.voltage_index);
   }
+  out.rng = rng.state();
+}
+
+RunResult run_once(const ChainSetup& setup, std::uint64_t seed) {
+  Floorplan3D fp = small_instance(11);
+  Rng init_rng(3);
+  const LayoutState initial = LayoutState::initial(fp, init_rng);
+  ChainOrchestrator orchestrator(setup);
+  Rng rng(seed);
+  RunResult out;
+  out.report = orchestrator.run(fp, initial, rng);
+  record_design(fp, rng, out);
+  return out;
+}
+
+/// The plain single-chain composition the orchestrator must reproduce at
+/// K = 1: one fast-loop engine on the caller's floorplan, and the staged
+/// annealer on the caller's RNG.
+RunResult run_plain(const ChainSetup& setup, std::uint64_t seed) {
+  Floorplan3D fp = small_instance(11);
+  Rng init_rng(3);
+  LayoutState state = LayoutState::initial(fp, init_rng);
+  thermal::ThermalEngine engine(fp.tech(), setup.fast_thermal,
+                                setup.engine_parallel,
+                                thermal::EngineRole::fast_loop);
+  CostEvaluator eval(fp, engine, setup.eval);
+  Annealer annealer(fp, eval, setup.anneal);
+  Rng rng(seed);
+  AnnealSession session = annealer.begin(state, rng);
+  while (annealer.run_stage(session, rng)) {
+  }
+  RunResult out;
+  out.report.chains.push_back(annealer.finish(session, rng));
+  record_design(fp, rng, out);
   return out;
 }
 
@@ -77,6 +109,43 @@ void expect_same_outcome(const RunResult& a, const RunResult& b) {
     EXPECT_DOUBLE_EQ(a.shapes[i].w, b.shapes[i].w);
     EXPECT_DOUBLE_EQ(a.shapes[i].h, b.shapes[i].h);
     EXPECT_EQ(a.dies[i], b.dies[i]);
+  }
+}
+
+TEST(ChainOrchestrator, SingleChainMatchesPlainAnnealer) {
+  // K = 1 is a plain SA run: chain 0 anneals the caller's floorplan on
+  // the caller's RNG, with no design copy and no seed draw.  Placement,
+  // voltage indices, stats and the RNG position match bitwise.
+  ChainSetup pa = small_setup(1);
+  ChainSetup tsc = small_setup(1);
+  tsc.eval.weights = tsc_aware_weights();
+  tsc.eval.voltage_objective = power::VoltageObjective::tsc_aware;
+  tsc.anneal.thermal_eval_interval = 10;
+  for (const ChainSetup* setup : {&pa, &tsc}) {
+    const RunResult plain = run_plain(*setup, 42);
+    const RunResult chained = run_once(*setup, 42);
+    ASSERT_EQ(chained.report.chains.size(), 1u);
+    EXPECT_EQ(chained.report.winner, 0u);
+    EXPECT_EQ(chained.report.exchange.rounds, 0u);
+    const AnnealStats& a = plain.report.chains[0];
+    const AnnealStats& b = chained.report.chains[0];
+    EXPECT_EQ(a.moves, b.moves);
+    EXPECT_EQ(a.accepted, b.accepted);
+    EXPECT_EQ(a.full_evals, b.full_evals);
+    EXPECT_EQ(a.repair_moves, b.repair_moves);
+    EXPECT_EQ(a.initial_temperature, b.initial_temperature);
+    EXPECT_EQ(a.best_cost, b.best_cost);
+    EXPECT_EQ(a.found_legal, b.found_legal);
+    ASSERT_EQ(plain.shapes.size(), chained.shapes.size());
+    for (std::size_t i = 0; i < plain.shapes.size(); ++i) {
+      EXPECT_EQ(plain.shapes[i].x, chained.shapes[i].x) << "module " << i;
+      EXPECT_EQ(plain.shapes[i].y, chained.shapes[i].y) << "module " << i;
+      EXPECT_EQ(plain.shapes[i].w, chained.shapes[i].w) << "module " << i;
+      EXPECT_EQ(plain.shapes[i].h, chained.shapes[i].h) << "module " << i;
+      EXPECT_EQ(plain.dies[i], chained.dies[i]) << "module " << i;
+      EXPECT_EQ(plain.voltages[i], chained.voltages[i]) << "module " << i;
+    }
+    EXPECT_TRUE(plain.rng == chained.rng) << "RNG stream positions differ";
   }
 }
 
@@ -155,7 +224,6 @@ TEST(ChainOrchestrator, FloorplannerRunsChainsAndStaysDeterministic) {
   opt.anneal.stages = 8;
   opt.fast_grid = 16;
   opt.verify_grid = 16;
-  opt.blur_radius = 5;
   opt.chains.chains = 2;
   opt.chains.exchange_interval = 2;
   const Floorplanner planner(opt);

@@ -12,8 +12,8 @@ class CostFixture : public ::testing::Test {
  protected:
   CostFixture()
       : fp_(make_instance()),
-        solver_(fp_.tech(), thermal_cfg()),
-        blur_(solver_, 5) {
+        engine_(fp_.tech(), thermal_cfg(), {},
+                thermal::EngineRole::fast_loop) {
     Rng rng(1);
     LayoutState s = LayoutState::initial(fp_, rng);
     s.apply_to(fp_);
@@ -42,12 +42,11 @@ class CostFixture : public ::testing::Test {
   }
 
   Floorplan3D fp_;
-  thermal::GridSolver solver_;
-  thermal::PowerBlur blur_;
+  thermal::ThermalEngine engine_;
 };
 
 TEST_F(CostFixture, FullEvaluationPopulatesAllTerms) {
-  CostEvaluator eval(fp_, blur_, options(tsc_aware_weights()));
+  CostEvaluator eval(fp_, engine_, options(tsc_aware_weights()));
   const CostBreakdown c = eval.evaluate_full();
   EXPECT_GT(c.bbox_area_ratio, 0.0);
   EXPECT_GT(c.wirelength_um, 0.0);
@@ -63,7 +62,7 @@ TEST_F(CostFixture, FullEvaluationPopulatesAllTerms) {
 TEST_F(CostFixture, NormalizationMakesFirstTotalOrderOfWeightSum) {
   // Every term is normalized to its first-evaluation value, so the first
   // total approximates the sum of active weights.
-  CostEvaluator eval(fp_, blur_, options(power_aware_weights()));
+  CostEvaluator eval(fp_, engine_, options(power_aware_weights()));
   const CostBreakdown c = eval.evaluate_full();
   const CostWeights w = power_aware_weights();
   const double weight_sum = w.area + w.wirelength + w.delay + w.peak_temp +
@@ -73,7 +72,7 @@ TEST_F(CostFixture, NormalizationMakesFirstTotalOrderOfWeightSum) {
 }
 
 TEST_F(CostFixture, CheapEvalTracksGeometryChanges) {
-  CostEvaluator eval(fp_, blur_, options(power_aware_weights()));
+  CostEvaluator eval(fp_, engine_, options(power_aware_weights()));
   const CostBreakdown before = eval.evaluate_full();
   // Stretch a module far outside the outline: cheap terms must react.
   // Direct mutations must be announced (see "incremental layout
@@ -87,7 +86,7 @@ TEST_F(CostFixture, CheapEvalTracksGeometryChanges) {
 }
 
 TEST_F(CostFixture, CheapEvalCarriesCachedExpensiveTerms) {
-  CostEvaluator eval(fp_, blur_, options(power_aware_weights()));
+  CostEvaluator eval(fp_, engine_, options(power_aware_weights()));
   const CostBreakdown full = eval.evaluate_full();
   const CostBreakdown cheap = eval.evaluate_cheap();
   EXPECT_DOUBLE_EQ(cheap.power_w, full.power_w);
@@ -96,7 +95,7 @@ TEST_F(CostFixture, CheapEvalCarriesCachedExpensiveTerms) {
 }
 
 TEST_F(CostFixture, EntropyIsLiveInCheapPathForTscWeights) {
-  CostEvaluator eval(fp_, blur_, options(tsc_aware_weights()));
+  CostEvaluator eval(fp_, engine_, options(tsc_aware_weights()));
   (void)eval.evaluate_full();
   // Move every module of die 0 into one corner: the power map collapses
   // and the (live) entropy term must change in the cheap evaluation.
@@ -113,10 +112,10 @@ TEST_F(CostFixture, EntropyIsLiveInCheapPathForTscWeights) {
 }
 
 TEST_F(CostFixture, ThermalEvalRefreshesCorrelation) {
-  CostEvaluator eval(fp_, blur_, options(tsc_aware_weights()));
+  CostEvaluator eval(fp_, engine_, options(tsc_aware_weights()));
   (void)eval.evaluate_full();
-  // Pile all die-0 power into one hotspot: the blur-estimated correlation
-  // must move on the next thermal evaluation.
+  // Pile all die-0 power into one hotspot: the solved correlation must
+  // move on the next thermal evaluation.
   const CostBreakdown before = eval.evaluate_thermal();
   for (Module& m : fp_.modules()) {
     if (m.die == 0) {
@@ -134,34 +133,32 @@ TEST_F(CostFixture, WeightsGateTerms) {
   none.area = none.outline = none.wirelength = none.delay = 0.0;
   none.peak_temp = none.power = none.volumes = 0.0;
   none.correlation = none.entropy = none.power_gradient = 0.0;
-  CostEvaluator eval(fp_, blur_, options(none));
+  CostEvaluator eval(fp_, engine_, options(none));
   const CostBreakdown c = eval.evaluate_full();
   EXPECT_DOUBLE_EQ(c.total, 0.0);
 }
 
-TEST_F(CostFixture, DetailedEngineReplacesBlurEstimate) {
-  // With a detailed engine wired up, the in-loop thermal term comes from
-  // warm-started grid solves instead of power blurring; the term stays
-  // populated and the engine actually gets used.
-  thermal::ThermalEngine engine(fp_.tech(), thermal_cfg());
-  auto opt = options(tsc_aware_weights());
-  opt.detailed_engine = &engine;
-  CostEvaluator eval(fp_, blur_, opt);
+TEST_F(CostFixture, ThermalTermSolvesOnWarmEngine) {
+  // The in-loop thermal term comes from grid solves on the evaluator's
+  // engine: the term is populated, and every refresh after the first
+  // solve warm-starts from the previous field.
+  CostEvaluator eval(fp_, engine_, options(tsc_aware_weights()));
   const CostBreakdown c = eval.evaluate_full();
   EXPECT_GT(c.peak_k_rise, 0.0);
   ASSERT_EQ(c.correlation.size(), 2u);
-  EXPECT_GT(engine.stats().steady_solves, 0u);
+  EXPECT_EQ(engine_.stats().steady_solves, 1u);
+  EXPECT_EQ(engine_.stats().warm_starts, 0u);
   (void)eval.evaluate_thermal();
-  EXPECT_GT(engine.stats().warm_starts, 0u);
+  EXPECT_EQ(engine_.stats().steady_solves, 2u);
+  EXPECT_EQ(engine_.stats().warm_starts, 1u);
 }
 
 TEST_F(CostFixture, DetailedEngineGridMismatchThrows) {
   ThermalConfig coarse;
   coarse.grid_nx = coarse.grid_ny = 8;  // != leakage_grid (16)
   thermal::ThermalEngine engine(fp_.tech(), coarse);
-  auto opt = options(tsc_aware_weights());
-  opt.detailed_engine = &engine;
-  EXPECT_THROW((CostEvaluator{fp_, blur_, opt}), std::invalid_argument);
+  EXPECT_THROW((CostEvaluator{fp_, engine, options(tsc_aware_weights())}),
+               std::invalid_argument);
 }
 
 TEST_F(CostFixture, PresetWeightsMatchPaperSetups) {

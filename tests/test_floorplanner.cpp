@@ -31,7 +31,6 @@ FloorplannerOptions fast_options(FlowMode mode) {
   o.fast_grid = 16;
   o.verify_grid = 24;
   o.sampling_grid = 16;
-  o.blur_radius = 5;
   o.dummy.samples_per_iteration = 6;
   o.dummy.max_iterations = 3;
   return o;

@@ -29,7 +29,6 @@
 #include "floorplan/cost.hpp"
 #include "floorplan/move_transaction.hpp"
 #include "power/timing.hpp"
-#include "thermal/power_blur.hpp"
 
 namespace tsc3d {
 namespace {
@@ -242,13 +241,13 @@ fpn::AnnealStats run_anneal(Floorplan3D fp, const fpn::CostWeights& weights,
                             std::uint64_t seed) {
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
-  thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 5);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                               thermal::EngineRole::fast_loop);
   fpn::CostEvaluator::Options eopt;
   eopt.weights = weights;
   eopt.leakage_grid = 16;
   eopt.cross_check_interval = 1;
-  fpn::CostEvaluator eval(fp, blur, eopt);
+  fpn::CostEvaluator eval(fp, engine, eopt);
   fpn::Annealer annealer(fp, eval, opt);
 
   Rng rng(seed);
@@ -302,12 +301,12 @@ TEST(IncrementalEval, CrossCheckSilentOnCleanRunThrowsOnCorruption) {
   Floorplan3D fp = small_instance(6);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
-  thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 5);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                               thermal::EngineRole::fast_loop);
   fpn::CostEvaluator::Options eopt;
   eopt.leakage_grid = 16;
   eopt.cross_check_interval = 1;  // verify EVERY cheap evaluation
-  fpn::CostEvaluator eval(fp, blur, eopt);
+  fpn::CostEvaluator eval(fp, engine, eopt);
 
   Rng rng(3);
   fpn::LayoutState s = fpn::LayoutState::initial(fp, rng);
@@ -341,12 +340,12 @@ TEST(MoveTransaction, EscalationBetweenCachedEvalsStaysExact) {
   Floorplan3D fp = small_instance(6);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
-  thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 5);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                               thermal::EngineRole::fast_loop);
   fpn::CostEvaluator::Options eopt;
   eopt.leakage_grid = 16;
   eopt.cross_check_interval = 1;  // verify EVERY cheap evaluation
-  fpn::CostEvaluator eval(fp, blur, eopt);
+  fpn::CostEvaluator eval(fp, engine, eopt);
 
   Rng rng(9);
   fpn::LayoutState s = fpn::LayoutState::initial(fp, rng);
@@ -384,11 +383,11 @@ TEST(MoveTransaction, EscalationRefusedMidTrial) {
   Floorplan3D fp = small_instance(6);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
-  thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 5);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                               thermal::EngineRole::fast_loop);
   fpn::CostEvaluator::Options eopt;
   eopt.leakage_grid = 16;
-  fpn::CostEvaluator eval(fp, blur, eopt);
+  fpn::CostEvaluator eval(fp, engine, eopt);
   Rng rng(9);
   fpn::LayoutState s = fpn::LayoutState::initial(fp, rng);
   s.apply_to(fp);
@@ -404,11 +403,11 @@ TEST(MoveTransaction, PhaseMisuseThrows) {
   Floorplan3D fp = small_instance(6);
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
-  thermal::GridSolver solver(fp.tech(), cfg);
-  const thermal::PowerBlur blur(solver, 5);
+  thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                               thermal::EngineRole::fast_loop);
   fpn::CostEvaluator::Options eopt;
   eopt.leakage_grid = 16;
-  fpn::CostEvaluator eval(fp, blur, eopt);
+  fpn::CostEvaluator eval(fp, engine, eopt);
   Rng rng(9);
   fpn::LayoutState s = fpn::LayoutState::initial(fp, rng);
   s.apply_to(fp);
@@ -445,8 +444,6 @@ TEST(IncrementalEvalParallel, ChainsDeterministicAndMatchSeedPath) {
   auto run_once = [](bool parallel) {
     fpn::ChainSetup s;
     s.fast_thermal.grid_nx = s.fast_thermal.grid_ny = 16;
-    s.blur_radius = 5;
-    s.detailed_inner_thermal = true;
     s.engine_parallel.threads = 2;
     s.eval.weights = fpn::power_aware_weights();
     s.eval.leakage_grid = 16;
@@ -463,7 +460,7 @@ TEST(IncrementalEvalParallel, ChainsDeterministicAndMatchSeedPath) {
     Rng rng(3);
     fpn::LayoutState initial = fpn::LayoutState::initial(fp, rng);
     fpn::ChainOrchestrator orchestrator(s);
-    const fpn::ChainReport report = orchestrator.run(fp, initial, 42);
+    const fpn::ChainReport report = orchestrator.run(fp, initial, rng);
     std::vector<double> coords;
     for (const Module& m : fp.modules()) {
       coords.push_back(m.shape.x);

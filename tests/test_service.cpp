@@ -11,6 +11,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "benchgen/generator.hpp"
 #include "config/apply.hpp"
 #include "config/config_file.hpp"
@@ -35,8 +37,12 @@ constexpr const char* kConfig =
     "verify_grid = 24\n"
     "sampling_grid = 16\n";
 
+/// A fresh directory private to this test process: two test runs (two
+/// build trees, or `ctest -j` siblings) never share or remove each
+/// other's files.
 fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       (name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "benchgen/generator.hpp"
 #include "campaign/scenario_io.hpp"
 #include "config/apply.hpp"
@@ -31,8 +33,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// A fresh directory private to this test process: two test runs (two
+/// build trees, or `ctest -j` siblings) never share or remove each
+/// other's files.
 fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       (name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
