@@ -57,7 +57,7 @@ void print_usage() {
       "  --nets=FILE       GSRC .nets input\n"
       "  --pl=FILE         GSRC .pl input (initial placement)\n"
       "  --power=FILE      per-module power sidecar\n"
-      "  --mode=power|tsc  flow preset (overrides config)\n"
+      "  --mode=power|tsc  flow preset (overrides floorplanning.mode)\n"
       "  --solver=NAME     steady-state thermal backend: auto (default;\n"
       "                    picks per engine role), sor, or multigrid\n"
       "                    (V-cycles + FMG; wins on cold/large solves)\n"
@@ -130,16 +130,11 @@ int main(int argc, char** argv) {
     config::ConfigFile cfg;
     if (!args.config.empty()) cfg = config::ConfigFile::load(args.config);
 
-    floorplan::FloorplannerOptions opt =
-        config::make_floorplanner_options(cfg);
-    if (args.mode == "tsc")
-      opt = floorplan::Floorplanner::tsc_aware_setup();
-    else if (args.mode == "power")
-      opt = floorplan::Floorplanner::power_aware_setup();
-    else if (!args.mode.empty())
+    if (!args.mode.empty() && args.mode != "power" && args.mode != "tsc")
       throw std::runtime_error("--mode must be 'power' or 'tsc'");
-    if (!args.mode.empty() && !args.config.empty())
-      config::apply_thermal(cfg, opt.thermal);  // keep thermal overrides
+    // --mode only picks the preset; the file's keys still overlay it.
+    floorplan::FloorplannerOptions opt =
+        config::make_floorplanner_options(cfg, args.mode);
     if (args.moves > 0) opt.anneal.total_moves = args.moves;
     if (args.threads > 0) opt.parallel.threads = args.threads;
     if (args.chains > 0) opt.chains.chains = args.chains;

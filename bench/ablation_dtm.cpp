@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
-  const thermal::GridSolver solver(fp.tech(), cfg);
+  thermal::ThermalEngine engine(fp.tech(), cfg);
 
   // --- experiment 1: open-loop tracking ------------------------------
   std::cout << "-- sensor tracking (no throttling, noise 1.5 K) --\n";
@@ -59,11 +59,11 @@ int main(int argc, char** argv) {
   mitigation::DtmCheckpoint track_ckpt;
   Rng rng_raw(seed + 1), rng_kf(seed + 1);
   const auto t_raw =
-      run_dtm(fp, solver, duration, 0.02, rng_raw, track, &track_ckpt);
+      run_dtm(fp, engine, duration, 0.02, rng_raw, track, &track_ckpt);
   track.use_kalman = true;
   track.kalman_slope_var = 2.0;
   const auto t_kf =
-      run_dtm(fp, solver, duration, 0.02, rng_kf, track, &track_ckpt);
+      run_dtm(fp, engine, duration, 0.02, rng_kf, track, &track_ckpt);
   std::cout << "  raw reads      : RMSE " << bench::fmt(t_raw.estimate_rmse_k, 3)
             << " K\n  Kalman [14]    : RMSE "
             << bench::fmt(t_kf.estimate_rmse_k, 3) << " K\n\n";
@@ -96,11 +96,11 @@ int main(int argc, char** argv) {
   mitigation::DtmCheckpoint sweep_ckpt;
   Rng rng_n(seed + 2), rng_re(seed + 2), rng_pro(seed + 2);
   const auto r_none =
-      run_dtm(fp, solver, duration, 0.01, rng_n, none, &sweep_ckpt);
+      run_dtm(fp, engine, duration, 0.01, rng_n, none, &sweep_ckpt);
   const auto r_re =
-      run_dtm(fp, solver, duration, 0.01, rng_re, reactive, &sweep_ckpt);
+      run_dtm(fp, engine, duration, 0.01, rng_re, reactive, &sweep_ckpt);
   const auto r_pro =
-      run_dtm(fp, solver, duration, 0.01, rng_pro, proactive, &sweep_ckpt);
+      run_dtm(fp, engine, duration, 0.01, rng_pro, proactive, &sweep_ckpt);
 
   bench::Table table({"controller", "peak T [K]", "time > trigger [ms]",
                       "perf loss [%]", "toggles"});

@@ -21,11 +21,11 @@ namespace {
 
 /// Mean |stability| inside the given die-0 region.
 double local_stability(const Floorplan3D& fp,
-                       const thermal::GridSolver& solver, const Rect& region,
+                       thermal::ThermalEngine& engine, const Rect& region,
                        std::size_t samples, std::uint64_t seed) {
   Rng rng(seed);
   const leakage::StabilitySampling s =
-      leakage::run_stability_sampling(fp, solver, samples, rng);
+      leakage::run_stability_sampling(fp, engine, samples, rng);
   const GridD& map = s.stability[0];
   const double bw =
       fp.tech().die_width_um / static_cast<double>(map.nx());
@@ -78,14 +78,14 @@ int main(int argc, char** argv) {
 
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 24;
-  const thermal::GridSolver solver(base.tech(), cfg);
+  thermal::ThermalEngine engine(base.tech(), cfg);
 
   std::cout << "=== Sec. 7.1 variant: chip-wide vs focused dummy TSVs ===\n";
   std::cout << "critical module: " << base.modules()[0].name << " on die "
             << base.modules()[0].die << ", region " << region << "\n\n";
 
   const double stab_before =
-      local_stability(base, solver, region, samples, seed + 1);
+      local_stability(base, engine, region, samples, seed + 1);
 
   bench::Table table({"variant", "dummy TSVs", "local |stability|",
                       "local reduction"});
@@ -100,9 +100,9 @@ int main(int argc, char** argv) {
     opt.max_iterations = 8;
     if (focused) opt.focus_regions.push_back(region);
     const tsv::DummyInsertResult res =
-        insert_dummy_tsvs(fp, solver, rng, opt);
+        insert_dummy_tsvs(fp, engine, rng, opt);
     const double stab =
-        local_stability(fp, solver, region, samples, seed + 1);
+        local_stability(fp, engine, region, samples, seed + 1);
     table.add(focused ? "focused on critical module" : "chip-wide",
               res.tsvs_inserted, stab,
               bench::fmt(100.0 * (stab_before - stab) / stab_before, 1) +

@@ -18,11 +18,11 @@ namespace {
 
 /// Average per-die sampled correlation of the current floorplan.
 double sampled_correlation(const Floorplan3D& fp,
-                           const thermal::GridSolver& solver,
+                           thermal::ThermalEngine& engine,
                            std::size_t samples, std::uint64_t seed) {
   Rng rng(seed);
   const leakage::StabilitySampling s =
-      leakage::run_stability_sampling(fp, solver, samples, rng);
+      leakage::run_stability_sampling(fp, engine, samples, rng);
   return bench::mean(s.mean_correlation);
 }
 
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   ThermalConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 24;
-  const thermal::GridSolver solver(base.tech(), cfg);
+  thermal::ThermalEngine engine(base.tech(), cfg);
 
   std::cout << "=== Sec. 6.2 ablation: sweet-spot stop vs fixed-count "
                "insertion ===\n\n";
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   opt.islands_per_iteration = 2;
   opt.tsvs_per_island = 16;
   const tsv::DummyInsertResult res_sweet =
-      insert_dummy_tsvs(sweet, solver, rng_a, opt);
+      insert_dummy_tsvs(sweet, engine, rng_a, opt);
 
   // --- variant B: fixed large budget, no stop criterion -----------------
   // Emulated by inserting the same island size at the most stable bins
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   {
     for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
       const leakage::StabilitySampling s =
-          leakage::run_stability_sampling(fixed, solver, samples, rng_b);
+          leakage::run_stability_sampling(fixed, engine, samples, rng_b);
       // Pick the 2 most stable bins and insert unconditionally.
       GridD combined = s.stability[0];
       for (auto& v : combined) v = std::abs(v);
@@ -97,11 +97,11 @@ int main(int argc, char** argv) {
   }
 
   const double corr_base =
-      sampled_correlation(base, solver, samples, seed + 50);
+      sampled_correlation(base, engine, samples, seed + 50);
   const double corr_sweet =
-      sampled_correlation(sweet, solver, samples, seed + 50);
+      sampled_correlation(sweet, engine, samples, seed + 50);
   const double corr_fixed =
-      sampled_correlation(fixed, solver, samples, seed + 50);
+      sampled_correlation(fixed, engine, samples, seed + 50);
 
   bench::Table table(
       {"variant", "dummy TSVs", "avg sampled correlation", "vs base"});

@@ -20,6 +20,7 @@
 #include "floorplan/floorplanner.hpp"
 #include "leakage/activity.hpp"
 #include "mitigation/noise_injection.hpp"
+#include "thermal/grid_solver.hpp"
 
 using namespace tsc3d;
 
@@ -37,7 +38,7 @@ double distinguishability(const Floorplan3D& fp,
   const auto act_a = model.sample(fp, rng);
   const auto act_b = model.sample(fp, rng);
   const auto observe = [&](const std::vector<double>& act) {
-    const auto inj = run_noise_injection(fp, solver, opt, &act);
+    const auto inj = run_noise_injection(fp, solver.engine(), opt, &act);
     std::vector<GridD> power;
     for (std::size_t d = 0; d < fp.tech().num_dies; ++d) {
       power.push_back(fp.power_map(d, nx, ny, &act));
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
       opt.budget_fraction = budget;
       opt.iterations = 8;
       opt.stop_at_sweet_spot = !naive;
-      const auto result = run_noise_injection(fp, solver, opt);
+      const auto result = run_noise_injection(fp, solver.engine(), opt);
       Rng dist_rng(seed + 31);  // same activities at every budget
       const double dist = distinguishability(fp, solver, opt, dist_rng);
       if (budget == 0.0) {

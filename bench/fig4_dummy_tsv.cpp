@@ -14,6 +14,7 @@
 #include "benchgen/generator.hpp"
 #include "core/map_io.hpp"
 #include "floorplan/floorplanner.hpp"
+#include "thermal/grid_solver.hpp"
 
 using namespace tsc3d;
 
@@ -78,9 +79,9 @@ int main(int argc, char** argv) {
   // Post-processing: activity sampling + correlation-driven insertion.
   ThermalConfig sampling_cfg = opt.thermal;
   sampling_cfg.grid_nx = sampling_cfg.grid_ny = opt.sampling_grid;
-  const thermal::GridSolver solver(fp.tech(), sampling_cfg);
+  thermal::ThermalEngine engine(fp.tech(), sampling_cfg);
   const tsv::DummyInsertResult res =
-      tsv::insert_dummy_tsvs(fp, solver, rng, opt.dummy);
+      tsv::insert_dummy_tsvs(fp, engine, rng, opt.dummy);
 
   // Panel (d): the thermal map after insertion.
   const GridD after_map = thermal_panel(fp, g);

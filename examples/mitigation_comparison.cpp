@@ -61,12 +61,12 @@ int main() {
   // --- 2. runtime injection on top of the PA floorplan ----------------
   ThermalConfig cfg = pa_opt.thermal;
   cfg.grid_nx = cfg.grid_ny = 32;
-  const thermal::GridSolver solver(pa_chip.tech(), cfg);
+  thermal::ThermalEngine engine(pa_chip.tech(), cfg);
   for (const double budget : {0.10, 0.40}) {
     mitigation::InjectionOptions iopt;
     iopt.budget_fraction = budget;
     iopt.iterations = 8;
-    const auto inj = run_noise_injection(pa_chip, solver, iopt);
+    const auto inj = run_noise_injection(pa_chip, engine, iopt);
     rows.push_back({"PA + injection [18], budget " +
                         std::to_string(static_cast<int>(100 * budget)) + " %",
                     inj.correlation_after[0],

@@ -146,12 +146,12 @@ MitigationOutcome apply_mitigation(const Floorplan3D& fp,
   out.floorplan = fp;
   if (kind == MitigationKind::none) return out;
 
-  const thermal::GridSolver solver(fp.tech(), thermal);
+  thermal::ThermalEngine engine(fp.tech(), thermal);
   if (kind == MitigationKind::dtm) {
     Rng rng(seed);
     const mitigation::DtmOptions dtm_opt;
     const mitigation::DtmResult result = mitigation::run_dtm(
-        fp, solver, opt.dtm_duration_s, opt.dtm_dt_s, rng, dtm_opt);
+        fp, engine, opt.dtm_duration_s, opt.dtm_dt_s, rng, dtm_opt);
     out.performance_loss = result.performance_loss;
     out.peak_k = result.peak_k;
     if (result.throttled_time_s > 0.0) {
@@ -174,7 +174,7 @@ MitigationOutcome apply_mitigation(const Floorplan3D& fp,
   mitigation::InjectionOptions inj_opt;
   inj_opt.budget_fraction = opt.injection_budget;
   const mitigation::InjectionResult result =
-      mitigation::run_noise_injection(fp, solver, inj_opt);
+      mitigation::run_noise_injection(fp, engine, inj_opt);
   out.overhead_w = result.power_overhead_w;
   out.peak_k = result.peak_k_after;
   const double die_w = fp.tech().die_width_um;

@@ -90,16 +90,16 @@ void apply_thermal(const ConfigFile& cfg, ThermalConfig& thermal) {
         "thermal.solver must be 'auto', 'sor' or 'multigrid', got '" +
         solver + "'");
   }
-  thermal.mg_levels = cfg.get_size("thermal.mg_levels", thermal.mg_levels);
-  thermal.mg_smooth_sweeps =
-      cfg.get_size("thermal.mg_smooth_sweeps", thermal.mg_smooth_sweeps);
-  thermal.mg_fmg = cfg.get_bool("thermal.mg_fmg", thermal.mg_fmg);
   thermal.validate();
 }
 
 floorplan::FloorplannerOptions make_floorplanner_options(
-    const ConfigFile& cfg) {
-  const std::string mode = cfg.get_string("floorplanning.mode", "power");
+    const ConfigFile& cfg, const std::string& mode_override) {
+  // Read the file's mode even when it is overridden, so that it never
+  // counts as an unused key.
+  const std::string file_mode = cfg.get_string("floorplanning.mode", "power");
+  const std::string& mode =
+      mode_override.empty() ? file_mode : mode_override;
   floorplan::FloorplannerOptions opt;
   if (mode == "tsc") {
     opt = floorplan::Floorplanner::tsc_aware_setup();

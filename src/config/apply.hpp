@@ -6,6 +6,8 @@
 // silently reverts to a default.
 #pragma once
 
+#include <string>
+
 #include "campaign/options.hpp"
 #include "config/config_file.hpp"
 #include "core/config.hpp"
@@ -33,8 +35,11 @@ void apply_thermal(const ConfigFile& cfg, ThermalConfig& thermal);
 ///   (sweep threads per thermal engine), chains (parallel-tempering
 ///   chains), chain_exchange_interval, chain_ladder_ratio.
 /// The preset for `mode` is applied first, then individual overrides.
+/// A non-empty `mode_override` (power | tsc, as tsc3d_cli's --mode)
+/// picks the preset instead of the file's mode; the file's other keys
+/// still overlay it.
 [[nodiscard]] floorplan::FloorplannerOptions make_floorplanner_options(
-    const ConfigFile& cfg);
+    const ConfigFile& cfg, const std::string& mode_override = {});
 
 /// Build batch-service options from [service] keys:
 ///   queue_dir, cache_dir, cache, checkpoint_interval, claim_lease_s.

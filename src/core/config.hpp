@@ -199,14 +199,6 @@ struct ThermalConfig {
   std::size_t max_iterations = 20000;
   /// Steady-state backend; auto_select resolves per engine role.
   SolverBackend solver = SolverBackend::auto_select;
-  /// Multigrid depth: number of coarse levels below the solve grid.
-  /// 0 = auto (coarsen 2x in x/y while both extents stay even and >= 4).
-  std::size_t mg_levels = 0;
-  /// Pre- and post-smoothing red-black sweeps per V-cycle level.
-  std::size_t mg_smooth_sweeps = 2;
-  /// Seed cold multigrid solves with a full-multigrid (coarse-to-fine)
-  /// initial sweep instead of a flat ambient field.
-  bool mg_fmg = true;
 
   void validate() const {
     if (grid_nx < 4 || grid_ny < 4)
@@ -215,9 +207,6 @@ struct ThermalConfig {
       throw std::invalid_argument("ThermalConfig: SOR omega out of (0,2)");
     if (r_convec_k_per_w <= 0.0 || r_package_k_per_w <= 0.0)
       throw std::invalid_argument("ThermalConfig: non-positive resistance");
-    if (mg_smooth_sweeps == 0)
-      throw std::invalid_argument(
-          "ThermalConfig: multigrid needs at least one smoothing sweep");
   }
 };
 

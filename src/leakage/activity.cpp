@@ -54,13 +54,6 @@ StabilitySampling run_stability_sampling(const Floorplan3D& fp,
   return out;
 }
 
-StabilitySampling run_stability_sampling(const Floorplan3D& fp,
-                                         const thermal::GridSolver& solver,
-                                         std::size_t samples, Rng& rng,
-                                         const ActivityModel& model) {
-  return run_stability_sampling(fp, solver.engine(), samples, rng, model);
-}
-
 std::vector<double> nominal_correlations(
     const Floorplan3D& fp, const std::vector<GridD>& die_temperature) {
   std::vector<double> r;

@@ -15,7 +15,7 @@
 #include "core/floorplan.hpp"
 #include "core/rng.hpp"
 #include "leakage/pearson.hpp"
-#include "thermal/grid_solver.hpp"
+#include "thermal/thermal_engine.hpp"
 
 namespace tsc3d::leakage {
 
@@ -47,12 +47,6 @@ struct StabilitySampling {
 /// the campaign cheap.
 [[nodiscard]] StabilitySampling run_stability_sampling(
     const Floorplan3D& fp, thermal::ThermalEngine& engine,
-    std::size_t samples, Rng& rng, const ActivityModel& model = {});
-
-/// Compatibility overload for GridSolver holders; runs on the solver's
-/// underlying engine.
-[[nodiscard]] StabilitySampling run_stability_sampling(
-    const Floorplan3D& fp, const thermal::GridSolver& solver,
     std::size_t samples, Rng& rng, const ActivityModel& model = {});
 
 /// Nominal (steady-state, average-activity) leakage summary of a

@@ -300,11 +300,4 @@ DtmResult run_dtm(const Floorplan3D& fp, thermal::ThermalEngine& engine,
   return result;
 }
 
-DtmResult run_dtm(const Floorplan3D& fp, const thermal::GridSolver& solver,
-                  double duration_s, double dt_s, Rng& rng,
-                  const DtmOptions& options, DtmCheckpoint* checkpoint) {
-  return run_dtm(fp, solver.engine(), duration_s, dt_s, rng, options,
-                 checkpoint);
-}
-
 }  // namespace tsc3d::mitigation

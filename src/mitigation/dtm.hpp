@@ -26,7 +26,7 @@
 #include "core/floorplan.hpp"
 #include "core/grid.hpp"
 #include "core/rng.hpp"
-#include "thermal/grid_solver.hpp"
+#include "thermal/thermal_engine.hpp"
 
 namespace tsc3d::mitigation {
 
@@ -167,14 +167,6 @@ struct DtmCheckpoint {
 /// result reports which happened and is bitwise-identical either way.
 [[nodiscard]] DtmResult run_dtm(const Floorplan3D& fp,
                                 thermal::ThermalEngine& engine,
-                                double duration_s, double dt_s, Rng& rng,
-                                const DtmOptions& options = {},
-                                DtmCheckpoint* checkpoint = nullptr);
-
-/// Compatibility overload for GridSolver holders; runs on the solver's
-/// underlying engine.
-[[nodiscard]] DtmResult run_dtm(const Floorplan3D& fp,
-                                const thermal::GridSolver& solver,
                                 double duration_s, double dt_s, Rng& rng,
                                 const DtmOptions& options = {},
                                 DtmCheckpoint* checkpoint = nullptr);

@@ -134,11 +134,4 @@ InjectionResult run_noise_injection(const Floorplan3D& fp,
   return result;
 }
 
-InjectionResult run_noise_injection(const Floorplan3D& fp,
-                                    const thermal::GridSolver& solver,
-                                    const InjectionOptions& options,
-                                    const std::vector<double>* module_power_w) {
-  return run_noise_injection(fp, solver.engine(), options, module_power_w);
-}
-
 }  // namespace tsc3d::mitigation

@@ -26,7 +26,7 @@
 
 #include "core/floorplan.hpp"
 #include "core/grid.hpp"
-#include "thermal/grid_solver.hpp"
+#include "thermal/thermal_engine.hpp"
 
 namespace tsc3d::mitigation {
 
@@ -80,13 +80,6 @@ struct InjectionResult {
 /// conductance network and warm-start from each other.
 [[nodiscard]] InjectionResult run_noise_injection(
     const Floorplan3D& fp, thermal::ThermalEngine& engine,
-    const InjectionOptions& options = {},
-    const std::vector<double>* module_power_w = nullptr);
-
-/// Compatibility overload for GridSolver holders; runs on the solver's
-/// underlying engine.
-[[nodiscard]] InjectionResult run_noise_injection(
-    const Floorplan3D& fp, const thermal::GridSolver& solver,
     const InjectionOptions& options = {},
     const std::vector<double>* module_power_w = nullptr);
 

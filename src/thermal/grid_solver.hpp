@@ -14,7 +14,9 @@
 // steady-state solve cold-starts from ambient, so results are a pure
 // function of the inputs regardless of call history.  Callers with
 // solve-in-a-loop workloads should hold a ThermalEngine (or use
-// `engine()`) to get assembly reuse plus warm-started solves.
+// `engine()`) to get assembly reuse plus warm-started solves; the loop
+// entry points (stability sampling, dummy-TSV insertion, DTM, noise
+// injection, PowerBlur calibration) take only an engine.
 #pragma once
 
 #include <cstddef>

@@ -88,11 +88,10 @@ Assembly coarsen(const Assembly& f) {
 
 }  // namespace
 
-void MultigridHierarchy::build(const Assembly& fine, std::size_t max_levels) {
+void MultigridHierarchy::build(const Assembly& fine) {
   levels_.clear();
   const Assembly* prev = &fine;
-  while ((max_levels == 0 || levels_.size() < max_levels) &&
-         prev->nx % 2 == 0 && prev->ny % 2 == 0 &&
+  while (prev->nx % 2 == 0 && prev->ny % 2 == 0 &&
          prev->nx / 2 >= kMinExtent && prev->ny / 2 >= kMinExtent) {
     levels_.push_back(Level{coarsen(*prev)});
     prev = &levels_.back().a;
@@ -215,29 +214,30 @@ void mg_prolong_add(const Assembly& coarse, const double* e_coarse,
 }
 
 double mg_smooth(const Assembly& a, double* t, const double* rhs,
-                 const double* diag, double omega, std::size_t nsweeps) {
+                 const double* diag, std::size_t nsweeps) {
   const std::size_t rows = a.nl * a.ny;
   double delta = 0.0;
   for (std::size_t s = 0; s < nsweeps; ++s) {
     delta = 0.0;
     for (int color = 0; color < 2; ++color)
       delta = std::max(
-          delta, sweep_color_rows(a, omega, t, color, 0, rows, rhs, diag));
+          delta,
+          sweep_color_rows(a, kSmoothOmega, t, color, 0, rows, rhs, diag));
   }
   return delta;
 }
 
 void mg_coarse_solve(const MultigridHierarchy& hierarchy, MgScratch& scratch,
-                     std::size_t l, std::size_t smooth_sweeps, double omega) {
+                     std::size_t l) {
   MgScratch::Level& s = scratch.level[l];
   // The correction starts at zero (pads included -- they are never
   // written, so the fill keeps them zero too).
   std::fill(s.field.begin(), s.field.end(), 0.0);
-  mg_cycle_at(hierarchy, scratch, l, smooth_sweeps, omega);
+  mg_cycle_at(hierarchy, scratch, l);
 }
 
 void mg_cycle_at(const MultigridHierarchy& hierarchy, MgScratch& scratch,
-                 std::size_t l, std::size_t smooth_sweeps, double omega) {
+                 std::size_t l) {
   const Assembly& a = hierarchy.levels()[l].a;
   MgScratch::Level& s = scratch.level[l];
   double* t = s.field.data() + a.field_offset();
@@ -253,27 +253,26 @@ void mg_cycle_at(const MultigridHierarchy& hierarchy, MgScratch& scratch,
     constexpr double kRelDrop = 1e-3;
     double first = -1.0;
     for (std::size_t s_i = 0; s_i < kMaxSweeps; ++s_i) {
-      const double delta = mg_smooth(a, t, rhs, diag, omega, 1);
+      const double delta = mg_smooth(a, t, rhs, diag, 1);
       if (first < 0.0) first = delta;
       if (delta <= kRelDrop * first) break;
     }
     return;
   }
 
-  mg_smooth(a, t, rhs, diag, omega, smooth_sweeps);
+  mg_smooth(a, t, rhs, diag, kSmoothSweeps);
   mg_residual(a, t, rhs, diag, scratch.resid.data());
   const Assembly& next = hierarchy.levels()[l + 1].a;
   mg_restrict(a, scratch.resid.data(), next, scratch.level[l + 1].rhs.data());
-  mg_coarse_solve(hierarchy, scratch, l + 1, smooth_sweeps, omega);
+  mg_coarse_solve(hierarchy, scratch, l + 1);
   mg_prolong_add(next,
                  scratch.level[l + 1].field.data() + next.field_offset(), a,
                  t);
-  mg_smooth(a, t, rhs, diag, omega, smooth_sweeps);
+  mg_smooth(a, t, rhs, diag, kSmoothSweeps);
 }
 
 void mg_fmg(const Assembly& fine, const MultigridHierarchy& hierarchy,
-            MgScratch& scratch, const double* rhs_fine, double* t_fine,
-            std::size_t smooth_sweeps, double omega) {
+            MgScratch& scratch, const double* rhs_fine, double* t_fine) {
   const std::vector<MultigridHierarchy::Level>& levels = hierarchy.levels();
   const std::size_t nl = levels.size();
   // Descend: restrict the TRUE rhs down the whole hierarchy.  The same
@@ -286,7 +285,7 @@ void mg_fmg(const Assembly& fine, const MultigridHierarchy& hierarchy,
                 scratch.level[l + 1].rhs.data());
 
   // Solve the coarsest level near-exactly from zero.
-  mg_coarse_solve(hierarchy, scratch, nl - 1, smooth_sweeps, omega);
+  mg_coarse_solve(hierarchy, scratch, nl - 1);
 
   // Ascend: seed each level with the interpolated coarser solution and
   // improve it with kFmgAscentCycles V-cycles against its restricted
@@ -307,7 +306,7 @@ void mg_fmg(const Assembly& fine, const MultigridHierarchy& hierarchy,
                    scratch.level[l + 1].field.data() + below.field_offset(),
                    a, s.field.data() + a.field_offset());
     for (std::size_t cyc = 0; cyc < kFmgAscentCycles; ++cyc)
-      mg_cycle_at(hierarchy, scratch, l, smooth_sweeps, omega);
+      mg_cycle_at(hierarchy, scratch, l);
   }
 
   mg_prolong_add(levels[0].a,

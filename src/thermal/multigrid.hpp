@@ -1,11 +1,11 @@
 // tsc3d -- thermal side-channel-aware 3D floorplanning.
 //
-// Geometric multigrid for the steady-state thermal solve.  The engine's
-// red-black SOR sweep is an excellent smoother -- it kills oscillatory
-// error in a few sweeps -- but grinds down the smooth error modes of
-// cold or large solves over hundreds of iterations.  A V-cycle moves
-// exactly those modes to coarser grids where they become oscillatory
-// (and cheap) again:
+// Geometric multigrid for the thermal solves, steady and transient.
+// The engine's red-black SOR sweep is an excellent smoother -- it kills
+// oscillatory error in a few sweeps -- but grinds down the smooth error
+// modes of cold or large solves over hundreds of iterations.  A V-cycle
+// moves exactly those modes to coarser grids where they become
+// oscillatory (and cheap) again:
 //
 //  * MultigridHierarchy coarsens the engine's cached Assembly 2x in
 //    x/y per level, Galerkin-style, by aggregating conductances: the
@@ -21,7 +21,7 @@
 //    path), the point smoother cannot damp lateral-oscillatory error
 //    riding on the stiff z-columns -- that would need z-line relaxation
 //    -- and V-cycles contract worse than plain SOR.  The engine detects
-//    that at runtime (stall detection in its V-cycle loops) and hands
+//    that at runtime (stall detection in its relaxation loop) and hands
 //    the solve back to SOR; see kMgStallContraction in
 //    thermal_engine.cpp.
 //  * Residuals restrict by full weighting (the adjoint of cell-centered
@@ -32,6 +32,10 @@
 //  * The engine drives the cycle: fine-level smoothing goes through its
 //    (possibly pool-sharded) sweep; everything below is serial and
 //    reads only the immutable hierarchy plus the engine's MgScratch.
+//  * Nothing is tunable: the hierarchy always coarsens to full depth,
+//    every level smooths kSmoothSweeps times before and after its
+//    coarse correction at kSmoothOmega, and the engine seeds every cold
+//    solve with mg_fmg.
 //
 // Determinism: coarsening, transfers, and smoothing are fixed-order
 // serial loops; the sharded fine sweep is bitwise-identical to serial.
@@ -46,6 +50,17 @@
 
 namespace tsc3d::thermal {
 
+/// Pre- and post-smoothing red-black sweeps per V-cycle level.
+constexpr std::size_t kSmoothSweeps = 2;
+
+/// Smoothing relaxation factor on every level.  Over-relaxation
+/// (sor_omega ~ 1.8) accelerates SOR as a SOLVER but ruins the smoothing
+/// property multigrid relies on; plain red-black Gauss-Seidel (omega = 1)
+/// damps oscillatory error per sweep near-optimally, and the coarse grids
+/// take care of the smooth error SOR would have needed the large omega
+/// for.
+constexpr double kSmoothOmega = 1.0;
+
 /// Immutable-after-build coarse hierarchy below one fine assembly.
 /// levels()[0] is the FIRST coarse level (half the fine resolution);
 /// the fine assembly itself stays with the engine.
@@ -55,11 +70,12 @@ class MultigridHierarchy {
     Assembly a;
   };
 
-  /// Coarsen `fine` while both extents are even and at least 2 * kMinExtent,
-  /// up to `max_levels` coarse levels (0 = no cap).  A grid that admits no
-  /// coarse level leaves the hierarchy empty (usable() == false) and the
-  /// engine falls back to SOR.
-  void build(const Assembly& fine, std::size_t max_levels);
+  /// Coarsen `fine` while both extents are even and at least 2 * kMinExtent
+  /// (full depth: 64x64 -> 32, 16, 8, 4; an odd extent stops it early, so
+  /// 18x18 gets a single 9x9 level).  A grid that admits no coarse level
+  /// leaves the hierarchy empty (usable() == false) and the engine falls
+  /// back to SOR.
+  void build(const Assembly& fine);
 
   [[nodiscard]] const std::vector<Level>& levels() const { return levels_; }
   [[nodiscard]] bool usable() const { return !levels_.empty(); }
@@ -125,10 +141,10 @@ void mg_restrict(const Assembly& fine, const double* resid_fine,
 void mg_prolong_add(const Assembly& coarse, const double* e_coarse,
                     const Assembly& fine, double* t_fine);
 
-/// `nsweeps` serial red-black sweeps over one level; returns the last
-/// sweep's max node update.
+/// `nsweeps` serial red-black sweeps (at kSmoothOmega) over one level;
+/// returns the last sweep's max node update.
 double mg_smooth(const Assembly& a, double* t, const double* rhs,
-                 const double* diag, double omega, std::size_t nsweeps);
+                 const double* diag, std::size_t nsweeps);
 
 /// Recursive V-cycle below the fine level: solves A_l e = rhs for the
 /// correction at coarse level `l` (scratch.level[l].rhs must hold the
@@ -137,7 +153,7 @@ double mg_smooth(const Assembly& a, double* t, const double* rhs,
 /// drop of 1e-3, capped); all sweeps are serial and fixed-order.
 /// A_l is (G + C/dt) when mg_set_dt installed transient diagonals.
 void mg_coarse_solve(const MultigridHierarchy& hierarchy, MgScratch& scratch,
-                     std::size_t l, std::size_t smooth_sweeps, double omega);
+                     std::size_t l);
 
 /// One V-cycle at coarse level `l` on the CURRENT contents of
 /// scratch.level[l]: smooth field against rhs, restrict the residual,
@@ -146,7 +162,7 @@ void mg_coarse_solve(const MultigridHierarchy& hierarchy, MgScratch& scratch,
 /// level l's field holds the prolonged coarser solution.  Levels below
 /// l are clobbered (their FMG values must already be consumed).
 void mg_cycle_at(const MultigridHierarchy& hierarchy, MgScratch& scratch,
-                 std::size_t l, std::size_t smooth_sweeps, double omega);
+                 std::size_t l);
 
 /// Full-multigrid cold start: restrict the TRUE fine rhs down the whole
 /// hierarchy, solve the coarsest level to near-exactness, then ascend --
@@ -159,7 +175,6 @@ void mg_cycle_at(const MultigridHierarchy& hierarchy, MgScratch& scratch,
 /// ambient start.  Serial and fixed-order throughout; requires
 /// hierarchy.usable().
 void mg_fmg(const Assembly& fine, const MultigridHierarchy& hierarchy,
-            MgScratch& scratch, const double* rhs_fine, double* t_fine,
-            std::size_t smooth_sweeps, double omega);
+            MgScratch& scratch, const double* rhs_fine, double* t_fine);
 
 }  // namespace tsc3d::thermal

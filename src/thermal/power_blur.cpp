@@ -21,9 +21,6 @@ std::size_t reflect(long i, std::size_t n) {
 
 }  // namespace
 
-PowerBlur::PowerBlur(const GridSolver& solver, std::size_t kernel_radius)
-    : PowerBlur(solver.engine(), kernel_radius) {}
-
 PowerBlur::PowerBlur(ThermalEngine& engine, std::size_t kernel_radius)
     : num_dies_(engine.stack().layer_of_die.size()),
       nx_(engine.nx()),

@@ -3,7 +3,7 @@
 // PowerBlur: Corblivar-style fast thermal analysis via "power blurring".
 // The steady-state thermal map of each die is approximated as the
 // convolution of the per-die power maps with impulse-response kernels,
-// which are calibrated once against the detailed GridSolver (the
+// which are calibrated once against the detailed ThermalEngine (the
 // fast-vs-detailed split the paper uses, Sec. 6: there the fast analysis
 // drives the floorplanning loop and HotSpot-style verification runs
 // afterwards).  tsc3d's loop solves the detailed model on a warm-started
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "core/grid.hpp"
-#include "thermal/grid_solver.hpp"
+#include "thermal/thermal_engine.hpp"
 
 namespace tsc3d::thermal {
 
@@ -35,9 +35,6 @@ class PowerBlur {
   /// engine reuses the assembled network within each regime and
   /// warm-starts successive solves.
   explicit PowerBlur(ThermalEngine& engine, std::size_t kernel_radius = 12);
-
-  /// Compatibility overload: calibrate against a GridSolver facade.
-  explicit PowerBlur(const GridSolver& solver, std::size_t kernel_radius = 12);
 
   [[nodiscard]] std::size_t nx() const { return nx_; }
   [[nodiscard]] std::size_t ny() const { return ny_; }

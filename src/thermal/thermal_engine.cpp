@@ -15,14 +15,6 @@ namespace tsc3d::thermal {
 
 namespace {
 
-/// Smoothing relaxation factor of the multigrid backend.  Over-relaxation
-/// (sor_omega ~ 1.8) accelerates SOR as a SOLVER but ruins the smoothing
-/// property multigrid relies on; plain red-black Gauss-Seidel (omega = 1)
-/// damps oscillatory error per sweep near-optimally, and the coarse grids
-/// take care of the smooth error SOR would have needed the large omega
-/// for.
-constexpr double kSmoothOmega = 1.0;
-
 /// Multigrid stall detection.  Point-smoothed x/y semicoarsening loses
 /// its mesh-independent convergence when vertical coupling dominates the
 /// lateral paths: damping lateral-oscillatory error that rides on stiff
@@ -31,7 +23,7 @@ constexpr double kSmoothOmega = 1.0;
 /// couples adjacent layers orders of magnitude more strongly than any
 /// in-plane path, and V-cycles contract WORSE than plain SOR there.
 /// Rather than predicting this from the stack (the z/lateral ratio
-/// shifts with grid resolution), the V-cycle loops watch their own
+/// shifts with grid resolution), the relaxation loop watches its own
 /// contraction: when a cycle fails to cut the per-sweep update below
 /// kMgStallContraction of the previous cycle's, kMgStallCycles times in
 /// a row, the solve is marked stalled and the loop hands the current
@@ -192,7 +184,7 @@ ThermalEngine::ThermalEngine(const TechnologyConfig& tech,
                              const ThermalConfig& cfg, ParallelConfig parallel,
                              EngineRole role)
     : tech_(tech), cfg_(cfg), stack_(build_stack(tech, cfg)), role_(role),
-      policy_(SolverPolicy::from_config(cfg, role)) {
+      policy_{resolve_backend(cfg.solver, role)} {
   tech_.validate();
   cfg_.validate();
   sweep_threads_ = parallel.threads;
@@ -221,15 +213,8 @@ void ThermalEngine::reset() {
   mg_.reset();
 }
 
-void ThermalEngine::set_policy(const SolverPolicy& policy) {
-  policy_ = policy;
-  policy_.backend = resolve_backend(policy.backend, role_);
-  // The hierarchy depends on the policy's depth/backend; rebuild lazily.
-  mg_.reset();
-}
-
 void ThermalEngine::set_tolerance_scale(double scale) {
-  policy_.tolerance.scale = scale > 1.0 ? scale : 1.0;
+  policy_.tolerance_scale = scale > 1.0 ? scale : 1.0;
 }
 
 void ThermalEngine::check_inputs(const std::vector<GridD>& die_power_w,
@@ -381,11 +366,11 @@ void ThermalEngine::build_assembly(const GridD& tsv_density) {
   diag_.resize(n);
 }
 
-void ThermalEngine::ensure_hierarchy() {
-  if (policy_.backend != SolverBackend::multigrid || !asm_valid_) return;
+bool ThermalEngine::prepare_multigrid(double dt_s) {
+  if (policy_.backend != SolverBackend::multigrid) return false;
   if (mg_ == nullptr) {
     mg_ = std::make_unique<MultigridHierarchy>();
-    mg_->build(asm_, policy_.mg_levels);
+    mg_->build(asm_);
     // Any transient diagonals in the scratch aggregated the PREVIOUS
     // hierarchy's capacitances; force mg_set_dt to rebuild them.
     if (mg_scratch_ != nullptr) {
@@ -393,12 +378,11 @@ void ThermalEngine::ensure_hierarchy() {
       mg_scratch_->dt_s = 0.0;
     }
   }
+  if (!mg_->usable()) return false;
   if (mg_scratch_ == nullptr) mg_scratch_ = std::make_unique<MgScratch>();
-}
-
-bool ThermalEngine::fmg_active() const {
-  return policy_.backend == SolverBackend::multigrid && policy_.mg_fmg &&
-         mg_ != nullptr && mg_->usable();
+  mg_scratch_->ensure(asm_, *mg_);
+  mg_set_dt(*mg_, *mg_scratch_, dt_s);
+  return true;
 }
 
 double ThermalEngine::sweep_rows(double* t, int color, std::size_t row_begin,
@@ -498,54 +482,53 @@ double ThermalEngine::vcycle(double* t, const double* rhs,
                              const double* diag) {
   const Assembly& fine = asm_;
   MgScratch& scratch = *mg_scratch_;
-  const std::size_t nu = policy_.mg_smooth_sweeps;
-  for (std::size_t i = 0; i < nu; ++i)
+  for (std::size_t i = 0; i < kSmoothSweeps; ++i)
     (void)sweep(t, rhs, diag, kSmoothOmega);
   mg_residual(fine, t, rhs, diag, scratch.resid.data());
   const Assembly& c0 = mg_->levels()[0].a;
   mg_restrict(fine, scratch.resid.data(), c0, scratch.level[0].rhs.data());
-  mg_coarse_solve(*mg_, scratch, 0, nu, kSmoothOmega);
+  mg_coarse_solve(*mg_, scratch, 0);
   mg_prolong_add(c0, scratch.level[0].field.data() + c0.field_offset(), fine,
                  t);
   // The last post-smoothing sweep doubles as the convergence measure:
   // the same per-node-update stopping rule the SOR backend uses.
   double delta = 0.0;
-  for (std::size_t i = 0; i < nu; ++i)
+  for (std::size_t i = 0; i < kSmoothSweeps; ++i)
     delta = sweep(t, rhs, diag, kSmoothOmega);
   return delta;
 }
 
-void ThermalEngine::solve_field(double* t, const double* rhs, bool fmg_start,
-                                ThermalResult& result) {
-  const double* diag = asm_.diag_static.data();
-  const double tol = policy_.tolerance.tolerance_for(cfg_.tolerance_k);
-  const bool mg_on = policy_.backend == SolverBackend::multigrid &&
-                     mg_ != nullptr && mg_->usable();
-  if (mg_on) {
-    mg_scratch_->ensure(asm_, *mg_);
-    mg_set_dt(*mg_, *mg_scratch_, 0.0);
-    const std::size_t nu = policy_.mg_smooth_sweeps;
-    if (fmg_start) {
-      // The caller zero-filled the field; the FMG descent/ascent leaves
-      // an initial guess at ~truncation error, so the V-cycle loop
-      // below typically stops after one or two cycles.
-      mg_fmg(asm_, *mg_, *mg_scratch_, rhs, t, nu, kSmoothOmega);
-      result.fmg_started = true;
-    }
+void ThermalEngine::relax(double* t, const double* rhs, const double* diag,
+                          double tol, bool mg_on, bool opening_sweep,
+                          ThermalResult& result) {
+  std::size_t& iters = result.iterations;
+  iters = 0;
+  result.converged = false;
+  // One fine-level sweep at `omega`; true once it meets the tolerance.
+  const auto sweep_once = [&](double omega) {
+    result.residual_k = sweep(t, rhs, diag, omega);
+    ++iters;
+    result.converged = result.residual_k < tol;
+    return result.converged;
+  };
+  if (mg_on && !result.mg_stalled) {
+    if (opening_sweep && sweep_once(kSmoothOmega)) return;
     double prev_delta = std::numeric_limits<double>::infinity();
     std::size_t stalled_cycles = 0;
-    while (result.iterations < cfg_.max_iterations) {
+    while (iters < cfg_.max_iterations) {
       const double delta = vcycle(t, rhs, diag);
-      result.iterations += 2 * nu;  // fine-level sweeps of this cycle
+      iters += 2 * kSmoothSweeps;  // fine-level sweeps of this cycle
       ++result.vcycles;
+      ++stats_.vcycles;
       result.residual_k = delta;
       if (delta < tol) {
         result.converged = true;
-        break;
+        return;
       }
       if (delta > kMgStallContraction * prev_delta) {
         if (++stalled_cycles >= kMgStallCycles) {
           result.mg_stalled = true;
+          ++stats_.mg_stalls;
           break;
         }
       } else {
@@ -553,27 +536,13 @@ void ThermalEngine::solve_field(double* t, const double* rhs, bool fmg_start,
       }
       prev_delta = delta;
     }
-    // Stalled: finish the solve with the plain SOR loop, warm from
-    // whatever the cycles achieved.
-    while (result.mg_stalled && result.iterations < cfg_.max_iterations) {
-      const double delta = sweep(t, rhs, diag, cfg_.sor_omega);
-      ++result.iterations;
-      result.residual_k = delta;
-      if (delta < tol) {
-        result.converged = true;
-        break;
-      }
-    }
-  } else {
-    for (std::size_t it = 0; it < cfg_.max_iterations; ++it) {
-      const double delta = sweep(t, rhs, diag, cfg_.sor_omega);
-      result.iterations = it + 1;
-      result.residual_k = delta;
-      if (delta < tol) {
-        result.converged = true;
-        break;
-      }
-    }
+    // Out of sweeps without a stall: nothing is left for SOR either.
+    if (!result.mg_stalled) return;
+  }
+  // SOR: the backend itself, or the fallback of a stalled multigrid
+  // solve, warm from whatever the cycles achieved.
+  while (iters < cfg_.max_iterations) {
+    if (sweep_once(cfg_.sor_omega)) return;
   }
 }
 
@@ -583,30 +552,35 @@ ThermalResult ThermalEngine::solve_steady(const std::vector<GridD>& die_power_w,
   check_inputs(die_power_w, tsv_density);
   const std::size_t reuses_before = stats_.assembly_reuses;
   (void)assembly_for(tsv_density);
-  ensure_hierarchy();
+  const bool mg_on = prepare_multigrid(0.0);
   fill_steady_rhs(die_power_w, rhs_);
 
   ThermalResult result;
   result.assembly_reused = stats_.assembly_reuses > reuses_before;
 
   const bool warm = start == Start::warm && field_valid_;
-  // A cold multigrid solve starts from zero so the FMG descent can build
-  // the solution itself (the boundary terms in the rhs carry the ambient
-  // baseline); other cold solves start from a flat ambient field.
-  const bool fmg = !warm && fmg_active();
-  if (!warm)
-    std::fill(temp_.begin(), temp_.end(), fmg ? 0.0 : cfg_.ambient_k);
   result.warm_started = warm;
+  if (!warm) {
+    // A cold multigrid solve starts from zero so the FMG descent can
+    // build the solution itself (the boundary terms in the rhs carry the
+    // ambient baseline); its seed lands at ~truncation error, so the
+    // V-cycles typically stop after one or two.  A cold SOR solve starts
+    // from a flat ambient field.
+    std::fill(temp_.begin(), temp_.end(), mg_on ? 0.0 : cfg_.ambient_k);
+    if (mg_on) {
+      mg_fmg(asm_, *mg_, *mg_scratch_, rhs_.data(), field());
+      result.fmg_started = true;
+      ++stats_.fmg_starts;
+    }
+  }
 
-  solve_field(field(), rhs_.data(), fmg, result);
+  relax(field(), rhs_.data(), asm_.diag_static.data(),
+        cfg_.tolerance_k * policy_.tolerance_scale, mg_on, false, result);
   field_valid_ = true;
 
   ++stats_.steady_solves;
   if (warm) ++stats_.warm_starts;
-  if (result.fmg_started) ++stats_.fmg_starts;
-  if (result.mg_stalled) ++stats_.mg_stalls;
   stats_.total_sweeps += result.iterations;
-  stats_.vcycles += result.vcycles;
 
   extract_field(field(), result);
   return result;
@@ -649,7 +623,18 @@ TransientResult ThermalEngine::solve_transient_feedback(
     throw std::invalid_argument("solve_transient: non-positive time");
   if (record_stride == 0) record_stride = 1;
   const Assembly& a = assembly_for(tsv_density);
-  ensure_hierarchy();
+  // Multigrid backend: V-cycle the (G + C/dt) operator.  Small-dt steps
+  // are strongly diagonally dominant and converge in a sweep or two
+  // from the previous step's field, but STIFF steps (dt large against
+  // the thermal time constants, the regime DTM sweeps probe) leave the
+  // operator close to the steady G, whose smooth error per-step SOR
+  // grinds down over dozens of sweeps; mg_set_dt installs the
+  // aggregated implicit-Euler diagonal on every coarse level so those
+  // steps take 1-2 cycles instead.  A single plain smoothing sweep opens
+  // each step -- the non-stiff fast path, costing exactly what warm SOR
+  // would -- and the V-cycles only engage when that sweep misses the
+  // tolerance.
+  const bool mg_on = prepare_multigrid(dt_s);
   const std::size_t nx = a.nx, ny = a.ny;
   const std::size_t nxny = nx * ny;
   const std::size_t n = a.num_nodes();
@@ -675,24 +660,6 @@ TransientResult ThermalEngine::solve_transient_feedback(
   for (std::size_t i = 0; i < n; ++i) {
     cap_over_dt[i] = a.cap[i] / dt_s;
     diag_[i] = a.diag_static[i] + cap_over_dt[i];
-  }
-
-  // Multigrid backend: V-cycle the (G + C/dt) operator.  Small-dt steps
-  // are strongly diagonally dominant and converge in a sweep or two
-  // from the previous step's field, but STIFF steps (dt large against
-  // the thermal time constants, the regime DTM sweeps probe) leave the
-  // operator close to the steady G, whose smooth error per-step SOR
-  // grinds down over dozens of sweeps; mg_set_dt installs the
-  // aggregated implicit-Euler diagonal on every coarse level so those
-  // steps take 1-2 cycles instead.  A single plain smoothing sweep runs
-  // first each step -- the non-stiff fast path, costing exactly what
-  // warm SOR would -- and the V-cycle loop only engages when that sweep
-  // misses the tolerance.
-  const bool mg_on = policy_.backend == SolverBackend::multigrid &&
-                     mg_ != nullptr && mg_->usable();
-  if (mg_on) {
-    mg_scratch_->ensure(a, *mg_);
-    mg_set_dt(*mg_, *mg_scratch_, dt_s);
   }
 
   TransientResult out;
@@ -722,61 +689,16 @@ TransientResult ThermalEngine::solve_transient_feedback(
       for (std::size_t c = 0; c < nxny; ++c) dst[c] += p[c];
     }
 
-    bool step_converged = false;
-    std::size_t step_iters = 0;
-    if (mg_on && !out.final_state.mg_stalled) {
-      const std::size_t nu = policy_.mg_smooth_sweeps;
-      double delta = sweep(t, rhs_.data(), diag_.data(), kSmoothOmega);
-      step_iters = 1;
-      out.final_state.residual_k = delta;
-      step_converged = delta < cfg_.tolerance_k;
-      double prev_delta = std::numeric_limits<double>::infinity();
-      std::size_t stalled_cycles = 0;
-      while (!step_converged && step_iters < cfg_.max_iterations) {
-        delta = vcycle(t, rhs_.data(), diag_.data());
-        step_iters += 2 * nu;
-        ++out.final_state.vcycles;
-        ++stats_.vcycles;
-        out.final_state.residual_k = delta;
-        step_converged = delta < cfg_.tolerance_k;
-        if (step_converged) break;
-        if (delta > kMgStallContraction * prev_delta) {
-          if (++stalled_cycles >= kMgStallCycles) {
-            // Sticky for the whole transient: the operator (and so the
-            // convergence behavior) is the same every step, so later
-            // steps go straight to SOR instead of re-stalling.
-            out.final_state.mg_stalled = true;
-            ++stats_.mg_stalls;
-            break;
-          }
-        } else {
-          stalled_cycles = 0;
-        }
-        prev_delta = delta;
-      }
-      while (out.final_state.mg_stalled && !step_converged &&
-             step_iters < cfg_.max_iterations) {
-        delta = sweep(t, rhs_.data(), diag_.data(), cfg_.sor_omega);
-        ++step_iters;
-        out.final_state.residual_k = delta;
-        step_converged = delta < cfg_.tolerance_k;
-      }
-    } else {
-      for (std::size_t it = 0; it < cfg_.max_iterations; ++it) {
-        const double delta = sweep(t, rhs_.data(), diag_.data(),
-                                   cfg_.sor_omega);
-        step_iters = it + 1;
-        out.final_state.residual_k = delta;
-        if (delta < cfg_.tolerance_k) {
-          step_converged = true;
-          break;
-        }
-      }
-    }
-    out.total_iterations += step_iters;
-    if (!step_converged) ++out.unconverged_steps;
+    // Steps stop at the unscaled tolerance, and the stall flag rides in
+    // final_state across steps: the operator (and so the convergence
+    // behavior) is the same every step, so once one step stalls the
+    // later ones go straight to SOR instead of re-stalling.
+    ThermalResult& state = out.final_state;
+    relax(t, rhs_.data(), diag_.data(), cfg_.tolerance_k, mg_on, true, state);
+    out.total_iterations += state.iterations;
+    if (!state.converged) ++out.unconverged_steps;
     ++stats_.transient_steps;
-    stats_.total_sweeps += step_iters;
+    stats_.total_sweeps += state.iterations;
 
     extract_die_maps(t, die_temp_prev);
 

@@ -18,12 +18,14 @@
 //    arrays.  Nodes of one color only read nodes of the other, so the
 //    stride-2 inner loop carries no dependence, vectorizes, and shards
 //    row ranges across a persistent worker pool (ParallelConfig);
-//  * dispatches every steady-state solve through a SolverPolicy: the
-//    red-black SOR backend, or a geometric multigrid V-cycle over a
-//    per-assembly hierarchy of coarsened conductance networks (see
-//    thermal/multigrid.hpp) that reuses the same red-black sweep as the
+//  * runs every steady solve and every implicit-Euler step through one
+//    relaxation loop, on the backend its SolverPolicy names: red-black
+//    SOR sweeps, or geometric multigrid V-cycles over a per-assembly
+//    hierarchy of coarsened conductance networks (see
+//    thermal/multigrid.hpp) that reuse the same red-black sweep as the
 //    smoother on every level -- so sweep sharding works unchanged on
-//    the fine level.  A ToleranceSchedule lets hot loops trade stopping
+//    the fine level.  V-cycles that stop contracting hand the field to
+//    SOR sweeps.  A tolerance scale lets hot loops trade stopping
 //    accuracy for sweeps per solve;
 //  * reports solver effort (sweeps, convergence, residual, reuse) in
 //    ThermalResult / TransientResult so callers and benches can see what
@@ -65,22 +67,6 @@ struct ParallelConfig {
   std::size_t min_nodes_per_thread = 4096;
 };
 
-/// Per-solve stopping-rule relaxation.  The steady-state stopping rule
-/// is `max per-node update of a sweep < tolerance_k * scale`: scale 1
-/// (the default) keeps the configured accuracy; a caller that only
-/// needs a coarse ranking of candidate fields (the annealing fast loop)
-/// raises the scale and pays fewer sweeps per solve.  Verification
-/// solves must leave the scale at 1.
-struct ToleranceSchedule {
-  double scale = 1.0;
-
-  /// Effective stopping tolerance for a base accuracy of `base_k`.
-  /// Scales below 1 are clamped: the schedule only ever loosens.
-  [[nodiscard]] double tolerance_for(double base_k) const {
-    return base_k * (scale > 1.0 ? scale : 1.0);
-  }
-};
-
 /// What an engine instance is FOR -- the input `thermal.solver = auto`
 /// uses to pick a backend per engine.  The annealing fast loop makes
 /// thousands of warm solves over small perturbations, where a warm SOR
@@ -104,33 +90,18 @@ enum class EngineRole {
                                        : SolverBackend::multigrid;
 }
 
-/// How a steady-state solve is driven: the backend (red-black SOR sweeps
-/// or geometric multigrid V-cycles smoothed by the same sweep) plus the
-/// tolerance schedule.  Derived from ThermalConfig at construction --
-/// `auto_select` is resolved against the engine's role there, so the
-/// stored backend is always concrete.  The tolerance scale is the one
-/// knob callers adjust per solve phase.
+/// What differs between engines in how they solve: the backend (red-black
+/// SOR sweeps, or geometric multigrid V-cycles smoothed by the same
+/// sweep) and the steady stopping-rule scale.  The backend is resolved
+/// against the engine's role at construction, so it is always concrete.
+/// Steady solves stop once a sweep's max per-node update drops below
+/// `tolerance_k * tolerance_scale`: scale 1 (the default) keeps the
+/// configured accuracy; a caller that only needs a coarse ranking of
+/// candidate fields (the annealing fast loop) raises the scale and pays
+/// fewer sweeps per solve.  Verification solves leave it at 1.
 struct SolverPolicy {
   SolverBackend backend = SolverBackend::sor;
-  /// Coarse levels below the solve grid; 0 = auto (full depth).
-  std::size_t mg_levels = 0;
-  /// Pre- and post-smoothing sweeps per V-cycle level.
-  std::size_t mg_smooth_sweeps = 2;
-  /// Full-multigrid cold starts: seed cold multigrid solves with a
-  /// coarse-to-fine FMG sweep (see thermal/multigrid.hpp) instead of a
-  /// flat ambient field.  No effect on the SOR backend or warm starts.
-  bool mg_fmg = true;
-  ToleranceSchedule tolerance;
-
-  [[nodiscard]] static SolverPolicy from_config(
-      const ThermalConfig& cfg, EngineRole role = EngineRole::verify) {
-    SolverPolicy p;
-    p.backend = resolve_backend(cfg.solver, role);
-    p.mg_levels = cfg.mg_levels;
-    p.mg_smooth_sweeps = cfg.mg_smooth_sweeps;
-    p.mg_fmg = cfg.mg_fmg;
-    return p;
-  }
+  double tolerance_scale = 1.0;  ///< >= 1: only ever loosens
 };
 
 /// Flattened conductance network.  Node index: (l * ny + iy) * nx + ix.
@@ -284,18 +255,13 @@ class ThermalEngine {
   [[nodiscard]] const ThermalConfig& config() const { return cfg_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// The solve dispatch policy (backend + tolerance schedule), derived
-  /// from ThermalConfig at construction.  `policy().backend` is always
+  /// The backend and tolerance scale.  `policy().backend` is always
   /// concrete: auto_select was resolved against role() at construction.
   [[nodiscard]] const SolverPolicy& policy() const { return policy_; }
   /// The role this engine was constructed for (auto-selection input).
   [[nodiscard]] EngineRole role() const { return role_; }
-  /// Replace the policy wholesale (the multigrid hierarchy is rebuilt
-  /// lazily when its parameters changed).  An auto_select backend is
-  /// resolved against the engine's role.
-  void set_policy(const SolverPolicy& policy);
-  /// Adjust only the tolerance schedule: subsequent steady solves stop
-  /// at tolerance_k * max(1, scale).  The annealer loosens this for
+  /// Set the tolerance scale, clamped to >= 1: subsequent steady solves
+  /// stop at tolerance_k * max(1, scale).  The annealer loosens this for
   /// fast-loop solves (scaled by move size and temperature stage);
   /// verification engines never touch it.
   void set_tolerance_scale(double scale);
@@ -358,9 +324,11 @@ class ThermalEngine {
   /// from the map the cache was built from.
   const Assembly& assembly_for(const GridD& tsv_density);
   void build_assembly(const GridD& tsv_density);
-  /// Build the multigrid hierarchy for the current assembly if the
-  /// policy asks for it and it is not valid yet.
-  void ensure_hierarchy();
+  /// On the multigrid backend, build the hierarchy for the current
+  /// assembly if it is not valid yet and point its scratch at the
+  /// operator of implicit-Euler step `dt_s` (0 = steady).  True when
+  /// V-cycles can run: multigrid backend and a coarsenable grid.
+  bool prepare_multigrid(double dt_s);
   /// One red-black sweep (both colors, over-relaxation `omega`) over the
   /// padded field `t`; returns the max absolute (pre-relaxation) node
   /// update.  Dispatches each color to the worker pool when sweep
@@ -372,16 +340,21 @@ class ThermalEngine {
   double sweep_rows(double* t, int color, std::size_t row_begin,
                     std::size_t row_end, const double* rhs,
                     const double* diag, double omega) const;
-  /// Whether a cold solve would be FMG-seeded right now (multigrid
-  /// backend, usable hierarchy, policy flag on).  Decides the cold fill
-  /// value: FMG builds the field from zero, SOR/V-cycle from ambient.
-  [[nodiscard]] bool fmg_active() const;
-  /// The steady solve loop: policy dispatch with sharded fine-level
-  /// sweeps; writes iterations/residual/converged/vcycles into `result`.
-  /// `fmg_start` means the caller zero-filled `t` for an FMG cold start
-  /// (fmg_active()).
-  void solve_field(double* t, const double* rhs, bool fmg_start,
-                   ThermalResult& result);
+  /// The relaxation loop of one steady solve or one implicit-Euler step:
+  /// solve `diag * t = rhs + neighbor flows` in place until a sweep's max
+  /// node update drops below `tol`, within cfg_.max_iterations fine-level
+  /// sweeps.  With `mg_on` it runs V-cycles -- after one plain smoothing
+  /// sweep when `opening_sweep` asks for it, which may already meet
+  /// `tol` -- until they converge, run out of sweeps or stall; then, or
+  /// without `mg_on`, SOR sweeps at sor_omega.  A stall sets
+  /// `result.mg_stalled`, and a set flag skips straight to SOR, so a
+  /// result carried across calls keeps the stall (transient steps) and
+  /// a fresh one does not (steady solves).  Writes this call's
+  /// iterations, converged flag and residual into `result`, adds its
+  /// V-cycles to result.vcycles, and counts V-cycles and stalls in
+  /// stats_.
+  void relax(double* t, const double* rhs, const double* diag, double tol,
+             bool mg_on, bool opening_sweep, ThermalResult& result);
   /// One multigrid V-cycle on the fine field `t` against the fine-level
   /// diagonal `diag` (diag_static for steady solves, the implicit-Euler
   /// diagonal for transients -- mg_scratch_'s mg_set_dt state must

@@ -111,11 +111,4 @@ DummyInsertResult insert_dummy_tsvs(Floorplan3D& fp,
   return result;
 }
 
-DummyInsertResult insert_dummy_tsvs(Floorplan3D& fp,
-                                    const thermal::GridSolver& solver,
-                                    Rng& rng,
-                                    const DummyInsertOptions& options) {
-  return insert_dummy_tsvs(fp, solver.engine(), rng, options);
-}
-
 }  // namespace tsc3d::tsv

@@ -19,7 +19,7 @@
 #include "core/floorplan.hpp"
 #include "core/rng.hpp"
 #include "leakage/activity.hpp"
-#include "thermal/grid_solver.hpp"
+#include "thermal/thermal_engine.hpp"
 
 namespace tsc3d::tsv {
 
@@ -54,12 +54,6 @@ struct DummyInsertResult {
 /// TSV batch actually lands).
 [[nodiscard]] DummyInsertResult insert_dummy_tsvs(
     Floorplan3D& fp, thermal::ThermalEngine& engine, Rng& rng,
-    const DummyInsertOptions& options = {});
-
-/// Compatibility overload for GridSolver holders; runs on the solver's
-/// underlying engine.
-[[nodiscard]] DummyInsertResult insert_dummy_tsvs(
-    Floorplan3D& fp, const thermal::GridSolver& solver, Rng& rng,
     const DummyInsertOptions& options = {});
 
 }  // namespace tsc3d::tsv

@@ -159,11 +159,11 @@ TEST(CampaignDifferential, DtmAdapterMatchesDirectRunDtm) {
   const std::uint64_t seed = 1234567;
 
   // Direct call, same inputs and seed the adapter uses.
-  const thermal::GridSolver solver(e.floorplan.tech(), thermal);
+  thermal::ThermalEngine engine(e.floorplan.tech(), thermal);
   Rng rng(seed);
   const mitigation::DtmOptions dtm_opt;
   const mitigation::DtmResult direct = mitigation::run_dtm(
-      e.floorplan, solver, opt.dtm_duration_s, opt.dtm_dt_s, rng, dtm_opt);
+      e.floorplan, engine, opt.dtm_duration_s, opt.dtm_dt_s, rng, dtm_opt);
 
   const MitigationOutcome out = apply_mitigation(
       e.floorplan, thermal, MitigationKind::dtm, opt, seed);
@@ -191,11 +191,11 @@ TEST(CampaignDifferential, InjectionAdapterMatchesDirectRunNoiseInjection) {
   const CampaignOptions opt = small_options();
   const ThermalConfig thermal = scenario_thermal(opt);
 
-  const thermal::GridSolver solver(e.floorplan.tech(), thermal);
+  thermal::ThermalEngine engine(e.floorplan.tech(), thermal);
   mitigation::InjectionOptions inj_opt;
   inj_opt.budget_fraction = opt.injection_budget;
   const mitigation::InjectionResult direct =
-      mitigation::run_noise_injection(e.floorplan, solver, inj_opt);
+      mitigation::run_noise_injection(e.floorplan, engine, inj_opt);
 
   const MitigationOutcome out = apply_mitigation(
       e.floorplan, thermal, MitigationKind::noise_injection, opt, 9);

@@ -159,42 +159,28 @@ TEST(ApplyThermal, OverlaysAndValidates) {
 }
 
 TEST(ApplyThermal, SolverBackendSelection) {
-  const auto cfg = ConfigFile::parse(
-      "[thermal]\n"
-      "solver = multigrid\n"
-      "mg_levels = 3\n"
-      "mg_smooth_sweeps = 1\n");
+  const auto cfg = ConfigFile::parse("[thermal]\nsolver = multigrid\n");
   ThermalConfig thermal;
   apply_thermal(cfg, thermal);
   EXPECT_EQ(thermal.solver, SolverBackend::multigrid);
-  EXPECT_EQ(thermal.mg_levels, 3u);
-  EXPECT_EQ(thermal.mg_smooth_sweeps, 1u);
 
   ThermalConfig defaults;
   apply_thermal(ConfigFile::parse(""), defaults);
   EXPECT_EQ(defaults.solver, SolverBackend::auto_select);
-  EXPECT_TRUE(defaults.mg_fmg);
 
   const auto autosel = ConfigFile::parse("[thermal]\nsolver = auto\n");
   ThermalConfig t_auto;
   apply_thermal(autosel, t_auto);
   EXPECT_EQ(t_auto.solver, SolverBackend::auto_select);
 
-  const auto forced = ConfigFile::parse(
-      "[thermal]\nsolver = sor\nmg_fmg = false\n");
+  const auto forced = ConfigFile::parse("[thermal]\nsolver = sor\n");
   ThermalConfig t_forced;
   apply_thermal(forced, t_forced);
   EXPECT_EQ(t_forced.solver, SolverBackend::sor);
-  EXPECT_FALSE(t_forced.mg_fmg);
 
   const auto bad = ConfigFile::parse("[thermal]\nsolver = jacobi\n");
   ThermalConfig t2;
   EXPECT_THROW(apply_thermal(bad, t2), ConfigError);
-
-  const auto zero_sweeps =
-      ConfigFile::parse("[thermal]\nmg_smooth_sweeps = 0\n");
-  ThermalConfig t3;
-  EXPECT_THROW(apply_thermal(zero_sweeps, t3), std::invalid_argument);
 }
 
 TEST(MakeFloorplannerOptions, InnerToleranceScaleOverlay) {
@@ -215,6 +201,26 @@ TEST(MakeFloorplannerOptions, ModePresetThenOverrides) {
   EXPECT_EQ(opt.mode, floorplan::FlowMode::tsc_aware);
   EXPECT_EQ(opt.anneal.total_moves, 777u);
   EXPECT_FALSE(opt.dummy_insertion);
+}
+
+TEST(MakeFloorplannerOptions, ModeOverrideKeepsTheFileKeys) {
+  // tsc3d_cli --mode picks the preset; the file's own [floorplanning]
+  // keys still overlay it instead of being dropped.
+  const auto cfg = ConfigFile::load(std::filesystem::path(TSC3D_SOURCE_DIR) /
+                                    "configs" / "tempering.conf");
+  const auto opt = make_floorplanner_options(cfg, "tsc");
+  EXPECT_EQ(opt.mode, floorplan::FlowMode::tsc_aware);
+  EXPECT_EQ(opt.chains.chains, 4u);
+  EXPECT_EQ(opt.anneal.stages, 40u);
+  EXPECT_EQ(opt.fast_grid, 16u);
+  EXPECT_EQ(opt.parallel.threads, 2u);
+  TechnologyConfig tech;
+  apply_technology(cfg, tech);
+  EXPECT_TRUE(cfg.unused_keys().empty());  // the file's mode counts as read
+
+  const auto power = make_floorplanner_options(cfg, "power");
+  EXPECT_EQ(power.mode, floorplan::FlowMode::power_aware);
+  EXPECT_EQ(power.chains.chains, 4u);
 }
 
 TEST(MakeFloorplannerOptions, RejectsUnknownMode) {

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "thermal/grid_solver.hpp"
+
 namespace tsc3d::mitigation {
 namespace {
 
@@ -146,8 +148,8 @@ TEST(Dtm, ThrottlingLimitsPeakTemperature) {
   on.throttle_scale = 0.4;
   on.throttled_fraction = 0.5;
   Rng rng_a(7), rng_b(7);
-  const auto uncontrolled = run_dtm(fp, solver, 1.0, 0.01, rng_a, off);
-  const auto controlled = run_dtm(fp, solver, 1.0, 0.01, rng_b, on);
+  const auto uncontrolled = run_dtm(fp, solver.engine(), 1.0, 0.01, rng_a, off);
+  const auto controlled = run_dtm(fp, solver.engine(), 1.0, 0.01, rng_b, on);
   EXPECT_LT(controlled.peak_k, uncontrolled.peak_k);
   EXPECT_GT(controlled.throttled_time_s, 0.0);
   EXPECT_GT(controlled.performance_loss, 0.0);
@@ -173,8 +175,8 @@ TEST(Dtm, KalmanBeatsRawSensorOnEstimateRmse) {
   // than the 0.01 s default assumes.
   kalman.kalman_slope_var = 2.0;
   Rng rng_a(11), rng_b(11);
-  const auto r_raw = run_dtm(fp, solver, 4.0, 0.02, rng_a, raw);
-  const auto r_kf = run_dtm(fp, solver, 4.0, 0.02, rng_b, kalman);
+  const auto r_raw = run_dtm(fp, solver.engine(), 4.0, 0.02, rng_a, raw);
+  const auto r_kf = run_dtm(fp, solver.engine(), 4.0, 0.02, rng_b, kalman);
   EXPECT_LT(r_kf.estimate_rmse_k, r_raw.estimate_rmse_k);
 }
 
@@ -191,8 +193,8 @@ TEST(Dtm, ProactiveControllerActsEarlier) {
   DtmOptions proactive = reactive;
   proactive.lookahead_periods = 3.0;
   Rng rng_a(13), rng_b(13);
-  const auto r_re = run_dtm(fp, solver, 1.0, 0.01, rng_a, reactive);
-  const auto r_pro = run_dtm(fp, solver, 1.0, 0.01, rng_b, proactive);
+  const auto r_re = run_dtm(fp, solver.engine(), 1.0, 0.01, rng_a, reactive);
+  const auto r_pro = run_dtm(fp, solver.engine(), 1.0, 0.01, rng_b, proactive);
   EXPECT_LE(r_pro.time_over_trigger_s, r_re.time_over_trigger_s + 1e-9);
 }
 
@@ -204,7 +206,7 @@ TEST(Dtm, HysteresisBoundsControlActions) {
   opt.release_k = 310.0;  // wide hysteresis band
   opt.sensor_noise_k = 0.1;
   Rng rng(17);
-  const auto result = run_dtm(fp, solver, 1.0, 0.01, rng, opt);
+  const auto result = run_dtm(fp, solver.engine(), 1.0, 0.01, rng, opt);
   // With a wide band the controller cannot chatter every period.
   EXPECT_LT(result.control_actions, 20u);
 }
@@ -221,7 +223,7 @@ TEST(Dtm, SensorReadsEveryStepWhenDtEqualsControlPeriod) {
   opt.release_k = 1e6 - 1.0;
   opt.control_period_s = 0.25;
   Rng rng(23);
-  const auto result = run_dtm(fp, solver, 5.0, 0.25, rng, opt);
+  const auto result = run_dtm(fp, solver.engine(), 5.0, 0.25, rng, opt);
   EXPECT_EQ(result.sensor_reads, 20u);
   EXPECT_TRUE(result.thermal_converged);
 }
@@ -238,7 +240,7 @@ TEST(Dtm, SensorReadCadenceFollowsControlPeriod) {
   opt.release_k = 1e6 - 1.0;
   opt.control_period_s = 0.75;
   Rng rng(29);
-  const auto result = run_dtm(fp, solver, 7.5, 0.25, rng, opt);
+  const auto result = run_dtm(fp, solver.engine(), 7.5, 0.25, rng, opt);
   EXPECT_EQ(result.sensor_reads, 11u);
 }
 
@@ -252,7 +254,7 @@ TEST(Dtm, FinalStepTemperatureIsAccounted) {
   opt.trigger_k = 1e6;
   opt.release_k = 1e6 - 1.0;
   Rng rng(31);
-  const auto result = run_dtm(fp, solver, 0.5, 0.01, rng, opt);
+  const auto result = run_dtm(fp, solver.engine(), 0.5, 0.01, rng, opt);
   // Reference: the same open-loop transient's final state.
   const GridD tsv = fp.tsv_density_map(solver.nx(), solver.ny());
   std::vector<GridD> nominal;
@@ -279,7 +281,7 @@ TEST(Dtm, AccountedTimeNeverExceedsDuration) {
   opt.release_k = 199.0;
   opt.control_period_s = 0.25;
   Rng rng(37);
-  const auto result = run_dtm(fp, solver, 0.4, 0.25, rng, opt);
+  const auto result = run_dtm(fp, solver.engine(), 0.4, 0.25, rng, opt);
   EXPECT_NEAR(result.time_over_trigger_s, 0.4, 1e-12);
   EXPECT_LE(result.throttled_time_s, 0.4 + 1e-12);
   EXPECT_LE(result.performance_loss, 1.0 - opt.throttle_scale + 1e-12);
@@ -289,19 +291,19 @@ TEST(Dtm, InvalidOptionsThrow) {
   const auto fp = hot_design();
   const auto solver = small_solver(fp);
   Rng rng(19);
-  EXPECT_THROW((void)run_dtm(fp, solver, 0.0, 0.01, rng),
+  EXPECT_THROW((void)run_dtm(fp, solver.engine(), 0.0, 0.01, rng),
                std::invalid_argument);
   DtmOptions bad;
   bad.control_period_s = 0.001;
-  EXPECT_THROW((void)run_dtm(fp, solver, 1.0, 0.01, rng, bad),
+  EXPECT_THROW((void)run_dtm(fp, solver.engine(), 1.0, 0.01, rng, bad),
                std::invalid_argument);
   bad = {};
   bad.throttle_scale = 0.0;
-  EXPECT_THROW((void)run_dtm(fp, solver, 1.0, 0.01, rng, bad),
+  EXPECT_THROW((void)run_dtm(fp, solver.engine(), 1.0, 0.01, rng, bad),
                std::invalid_argument);
   bad = {};
   bad.release_k = bad.trigger_k + 1.0;
-  EXPECT_THROW((void)run_dtm(fp, solver, 1.0, 0.01, rng, bad),
+  EXPECT_THROW((void)run_dtm(fp, solver.engine(), 1.0, 0.01, rng, bad),
                std::invalid_argument);
 }
 
@@ -330,14 +332,14 @@ TEST(Dtm, CheckpointReuseIsBitwiseEquivalent) {
   DtmCheckpoint checkpoint;
   Rng rng_a(31), rng_b(31);
   const auto solver_a = small_solver(fp);
-  const auto fresh = run_dtm(fp, solver_a, 1.0, 0.01, rng_a, opt,
+  const auto fresh = run_dtm(fp, solver_a.engine(), 1.0, 0.01, rng_a, opt,
                              &checkpoint);
   EXPECT_FALSE(fresh.checkpoint_reused);
   EXPECT_TRUE(fresh.checkpoint_captured);
   ASSERT_TRUE(checkpoint.valid);
 
   const auto solver_b = small_solver(fp);
-  const auto reused = run_dtm(fp, solver_b, 1.0, 0.01, rng_b, opt,
+  const auto reused = run_dtm(fp, solver_b.engine(), 1.0, 0.01, rng_b, opt,
                               &checkpoint);
   EXPECT_TRUE(reused.checkpoint_reused);
   EXPECT_FALSE(reused.checkpoint_captured);
@@ -351,11 +353,11 @@ TEST(Dtm, CheckpointReuseIsBitwiseEquivalent) {
   proactive.trigger_k = 320.0;
   proactive.release_k = 318.0;
   Rng rng_c(31), rng_d(31);
-  const auto swept = run_dtm(fp, small_solver(fp), 1.0, 0.01, rng_c,
+  const auto swept = run_dtm(fp, small_solver(fp).engine(), 1.0, 0.01, rng_c,
                              proactive, &checkpoint);
   EXPECT_TRUE(swept.checkpoint_reused);
   const auto swept_fresh =
-      run_dtm(fp, small_solver(fp), 1.0, 0.01, rng_d, proactive);
+      run_dtm(fp, small_solver(fp).engine(), 1.0, 0.01, rng_d, proactive);
   expect_bitwise_equal(swept, swept_fresh);
 }
 
@@ -368,17 +370,19 @@ TEST(Dtm, CheckpointMismatchFallsBackToFreshSolve) {
 
   DtmCheckpoint checkpoint;
   Rng rng_a(37);
-  (void)run_dtm(fp, small_solver(fp), 1.0, 0.01, rng_a, opt, &checkpoint);
+  (void)run_dtm(fp, small_solver(fp).engine(), 1.0, 0.01, rng_a, opt,
+                &checkpoint);
   ASSERT_TRUE(checkpoint.valid);
 
   // A different dt invalidates the checkpoint: the run must fall back
   // (and recapture), matching a checkpoint-free run bitwise.
   Rng rng_b(37), rng_c(37);
-  const auto other_dt = run_dtm(fp, small_solver(fp), 1.0, 0.02, rng_b, opt,
-                                &checkpoint);
+  const auto other_dt = run_dtm(fp, small_solver(fp).engine(), 1.0, 0.02,
+                                rng_b, opt, &checkpoint);
   EXPECT_FALSE(other_dt.checkpoint_reused);
   EXPECT_TRUE(other_dt.checkpoint_captured);
-  const auto plain = run_dtm(fp, small_solver(fp), 1.0, 0.02, rng_c, opt);
+  const auto plain =
+      run_dtm(fp, small_solver(fp).engine(), 1.0, 0.02, rng_c, opt);
   expect_bitwise_equal(other_dt, plain);
   EXPECT_EQ(checkpoint.dt_s, 0.02);  // recaptured for the new sweep
 }
@@ -392,9 +396,10 @@ TEST(Dtm, CheckpointlessRunsUnaffectedByApi) {
   opt.release_k = 314.0;
   DtmCheckpoint checkpoint;
   Rng rng_a(41), rng_b(41);
-  const auto with = run_dtm(fp, small_solver(fp), 0.5, 0.01, rng_a, opt,
-                            &checkpoint);
-  const auto without = run_dtm(fp, small_solver(fp), 0.5, 0.01, rng_b, opt);
+  const auto with = run_dtm(fp, small_solver(fp).engine(), 0.5, 0.01, rng_a,
+                            opt, &checkpoint);
+  const auto without =
+      run_dtm(fp, small_solver(fp).engine(), 0.5, 0.01, rng_b, opt);
   EXPECT_FALSE(without.checkpoint_captured);
   expect_bitwise_equal(with, without);
 }

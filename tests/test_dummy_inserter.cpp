@@ -37,14 +37,14 @@ ThermalConfig sampling_cfg() {
 
 TEST(DummyInserter, ReducesAverageCorrelation) {
   Floorplan3D fp = leaky_design();
-  const thermal::GridSolver solver(fp.tech(), sampling_cfg());
+  thermal::ThermalEngine engine(fp.tech(), sampling_cfg());
   Rng rng(42);
   DummyInsertOptions opt;
   opt.samples_per_iteration = 8;
   opt.max_iterations = 6;
   opt.islands_per_iteration = 2;
   opt.tsvs_per_island = 32;
-  const DummyInsertResult res = insert_dummy_tsvs(fp, solver, rng, opt);
+  const DummyInsertResult res = insert_dummy_tsvs(fp, engine, rng, opt);
   // The stop criterion guarantees the final correlation never exceeds
   // the starting one.
   EXPECT_LE(res.correlation_after, res.correlation_before + 1e-9);
@@ -55,12 +55,12 @@ TEST(DummyInserter, ReducesAverageCorrelation) {
 
 TEST(DummyInserter, HistoryTracksIterations) {
   Floorplan3D fp = leaky_design();
-  const thermal::GridSolver solver(fp.tech(), sampling_cfg());
+  thermal::ThermalEngine engine(fp.tech(), sampling_cfg());
   Rng rng(1);
   DummyInsertOptions opt;
   opt.samples_per_iteration = 6;
   opt.max_iterations = 3;
-  const DummyInsertResult res = insert_dummy_tsvs(fp, solver, rng, opt);
+  const DummyInsertResult res = insert_dummy_tsvs(fp, engine, rng, opt);
   EXPECT_EQ(res.correlation_history.size(), res.iterations + 1);
   EXPECT_LE(res.iterations, 3u);
 }
@@ -74,26 +74,26 @@ TEST(DummyInserter, RollsBackPastSweetSpot) {
   blanket.count = 40000;  // covers everything
   blanket.kind = TsvKind::signal;
   fp.tsvs().push_back(blanket);
-  const thermal::GridSolver solver(fp.tech(), sampling_cfg());
+  thermal::ThermalEngine engine(fp.tech(), sampling_cfg());
   Rng rng(2);
   DummyInsertOptions opt;
   opt.samples_per_iteration = 6;
   opt.max_iterations = 5;
   opt.saturation = 0.9;
-  const DummyInsertResult res = insert_dummy_tsvs(fp, solver, rng, opt);
+  const DummyInsertResult res = insert_dummy_tsvs(fp, engine, rng, opt);
   EXPECT_LE(res.iterations, 2u);
 }
 
 TEST(DummyInserter, FocusRegionsRestrictPlacement) {
   Floorplan3D fp = leaky_design();
-  const thermal::GridSolver solver(fp.tech(), sampling_cfg());
+  thermal::ThermalEngine engine(fp.tech(), sampling_cfg());
   Rng rng(3);
   DummyInsertOptions opt;
   opt.samples_per_iteration = 6;
   opt.max_iterations = 4;
   const Rect focus{1200.0, 1200.0, 800.0, 800.0};  // around the hotspot
   opt.focus_regions.push_back(focus);
-  (void)insert_dummy_tsvs(fp, solver, rng, opt);
+  (void)insert_dummy_tsvs(fp, engine, rng, opt);
   for (const Tsv& t : fp.tsvs()) {
     if (t.kind == TsvKind::dummy) {
       EXPECT_TRUE(focus.contains(t.position));
@@ -103,11 +103,11 @@ TEST(DummyInserter, FocusRegionsRestrictPlacement) {
 
 TEST(DummyInserter, RejectsTooFewSamples) {
   Floorplan3D fp = leaky_design();
-  const thermal::GridSolver solver(fp.tech(), sampling_cfg());
+  thermal::ThermalEngine engine(fp.tech(), sampling_cfg());
   Rng rng(4);
   DummyInsertOptions opt;
   opt.samples_per_iteration = 1;
-  EXPECT_THROW(insert_dummy_tsvs(fp, solver, rng, opt),
+  EXPECT_THROW(insert_dummy_tsvs(fp, engine, rng, opt),
                std::invalid_argument);
 }
 

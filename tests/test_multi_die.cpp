@@ -5,6 +5,7 @@
 
 #include "floorplan/annealer.hpp"
 #include "benchgen/generator.hpp"
+#include "thermal/grid_solver.hpp"
 #include "thermal/power_blur.hpp"
 
 namespace tsc3d {
@@ -51,7 +52,7 @@ TEST(MultiDie, MiddleDieHotterThanTopForSamePower) {
 
 TEST(MultiDie, PowerBlurHandlesThreeDies) {
   const thermal::GridSolver solver(tech_with_dies(3), small_cfg());
-  const thermal::PowerBlur blur(solver, 4);
+  const thermal::PowerBlur blur(solver.engine(), 4);
   std::vector<GridD> power(3, GridD(12, 12, 0.0));
   power[1].at(6, 6) = 1.5;
   const std::vector<GridD> est = blur.estimate(power, GridD(12, 12, 0.0));

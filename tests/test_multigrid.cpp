@@ -148,26 +148,21 @@ TEST(ThermalEngineMultigrid, NonCoarsenableGridFallsBackToSorBitwise) {
 }
 
 TEST(ThermalEngineMultigrid, MgLevelsCapsTheHierarchyDepth) {
-  constexpr std::size_t g = 32;  // auto depth: 16, 8, 4
-  const ThermalConfig cfg = test_thermal(g, SolverBackend::multigrid);
+  // The grid caps the depth: 18x18 halves once, to 9x9, and the odd
+  // extent stops the coarsening there.  The resulting two-grid cycle
+  // needs more cycles than a full-depth one, but it converges without
+  // stalling and keeps the cross-backend contract.
+  constexpr std::size_t g = 18;
   const auto power = test_power(g);
   const GridD tsv = test_tsv(g);
-
-  ThermalConfig capped = cfg;
-  capped.mg_levels = 1;
-  ThermalEngine shallow(test_tech(), capped);
+  ThermalEngine shallow(test_tech(), test_thermal(g, SolverBackend::multigrid));
   const ThermalResult r = shallow.solve_steady(power, tsv);
   ASSERT_TRUE(r.converged);
   EXPECT_GT(r.vcycles, 0u);
+  EXPECT_FALSE(r.mg_stalled);
 
-  ThermalEngine deep(test_tech(), cfg);
-  const ThermalResult rd = deep.solve_steady(power, tsv);
-  ASSERT_TRUE(rd.converged);
-  // A two-grid cycle works too, just with more cycles than full depth.
-  // Its slower convergence leaves a slightly larger error at the same
-  // stopping rule, so the cross-depth bound is a little looser than the
-  // full-depth-vs-SOR contract.
-  EXPECT_LE(max_abs_diff(r, rd), 5e-3);
+  ThermalEngine sor(test_tech(), test_thermal(g, SolverBackend::sor));
+  EXPECT_LT(max_abs_diff(r, sor.solve_steady(power, tsv)), 1e-3);
 }
 
 TEST(ThermalEngineMultigrid, HierarchyCoarsensConservatively) {
@@ -205,7 +200,7 @@ TEST(ThermalEngineMultigrid, HierarchyCoarsensConservatively) {
                           fine.g_yp[i] + fine.g_zm[i] + fine.g_zp[i];
 
   MultigridHierarchy h;
-  h.build(fine, 0);
+  h.build(fine);
   ASSERT_TRUE(h.usable());
   EXPECT_EQ(h.levels().size(), 1u);  // 8 -> 4, then 2 < kMinExtent
   const Assembly& c = h.levels()[0].a;
@@ -232,26 +227,7 @@ TEST(ThermalEngineMultigrid, HierarchyCoarsensConservatively) {
         EXPECT_DOUBLE_EQ(c.g_xp[(l * c.ny + iy) * c.nx + ix], 1.0);
 }
 
-TEST(ThermalEngineMultigrid, SetPolicySwitchesBackendMidLife) {
-  constexpr std::size_t g = 16;
-  const auto power = test_power(g);
-  const GridD tsv = test_tsv(g);
-  ThermalEngine engine(test_tech(), test_thermal(g, SolverBackend::sor));
-  const ThermalResult rs = engine.solve_steady(power, tsv);
-  ASSERT_TRUE(rs.converged);
-  EXPECT_EQ(rs.vcycles, 0u);
-
-  SolverPolicy policy = engine.policy();
-  policy.backend = SolverBackend::multigrid;
-  engine.set_policy(policy);
-  const ThermalResult rm =
-      engine.solve_steady(power, tsv, ThermalEngine::Start::cold);
-  ASSERT_TRUE(rm.converged);
-  EXPECT_GT(rm.vcycles, 0u);
-  EXPECT_LE(max_abs_diff(rs, rm), 1e-3);
-}
-
-// --- tolerance schedule --------------------------------------------------
+// --- tolerance scale -----------------------------------------------------
 
 TEST(ThermalEngineMultigrid, ToleranceScheduleTradesSweepsForAccuracy) {
   constexpr std::size_t g = 20;
@@ -264,7 +240,7 @@ TEST(ThermalEngineMultigrid, ToleranceScheduleTradesSweepsForAccuracy) {
 
     ThermalEngine coarse(test_tech(), test_thermal(g, backend, 1e-6));
     coarse.set_tolerance_scale(1000.0);
-    EXPECT_DOUBLE_EQ(coarse.policy().tolerance.scale, 1000.0);
+    EXPECT_DOUBLE_EQ(coarse.policy().tolerance_scale, 1000.0);
     const ThermalResult loose = coarse.solve_steady(power, tsv);
     ASSERT_TRUE(loose.converged);
     EXPECT_LT(loose.iterations, tight.iterations);
@@ -285,10 +261,9 @@ TEST(ThermalEngineMultigrid, ToleranceScaleClampsBelowOne) {
   ThermalEngine engine(test_tech(),
                        test_thermal(16, SolverBackend::sor, 1e-4));
   engine.set_tolerance_scale(0.01);  // must clamp: never tighter than cfg
-  EXPECT_DOUBLE_EQ(engine.policy().tolerance.scale, 1.0);
-  EXPECT_DOUBLE_EQ(engine.policy().tolerance.tolerance_for(1e-4), 1e-4);
-  ToleranceSchedule sched{8.0};
-  EXPECT_DOUBLE_EQ(sched.tolerance_for(1e-4), 8e-4);
+  EXPECT_DOUBLE_EQ(engine.policy().tolerance_scale, 1.0);
+  engine.set_tolerance_scale(8.0);
+  EXPECT_DOUBLE_EQ(engine.policy().tolerance_scale, 8.0);
 }
 
 // --- thread determinism (runs under TSan on CI) --------------------------

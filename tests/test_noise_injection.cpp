@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "thermal/grid_solver.hpp"
+
 namespace tsc3d::mitigation {
 namespace {
 
@@ -53,7 +55,7 @@ TEST(NoiseInjection, ZeroBudgetIsANoOp) {
   const auto solver = small_solver(fp);
   InjectionOptions opt;
   opt.budget_fraction = 0.0;
-  const auto result = run_noise_injection(fp, solver, opt);
+  const auto result = run_noise_injection(fp, solver.engine(), opt);
   EXPECT_DOUBLE_EQ(result.power_overhead_w, 0.0);
   ASSERT_EQ(result.correlation_before.size(),
             result.correlation_after.size());
@@ -70,7 +72,7 @@ TEST(NoiseInjection, SpendsAtMostTheBudget) {
     nominal += fp.effective_power(i);
   InjectionOptions opt;
   opt.budget_fraction = 0.2;
-  const auto result = run_noise_injection(fp, solver, opt);
+  const auto result = run_noise_injection(fp, solver.engine(), opt);
   EXPECT_LE(result.power_overhead_w, 0.2 * nominal + 1e-9);
   EXPECT_GT(result.power_overhead_w, 0.0);
 }
@@ -80,7 +82,7 @@ TEST(NoiseInjection, InjectedMapsAccountForTheOverhead) {
   const auto solver = small_solver(fp);
   InjectionOptions opt;
   opt.budget_fraction = 0.15;
-  const auto result = run_noise_injection(fp, solver, opt);
+  const auto result = run_noise_injection(fp, solver.engine(), opt);
   double injected = 0.0;
   for (const auto& map : result.injected_power_w) injected += map.sum();
   EXPECT_NEAR(injected, result.power_overhead_w, 1e-9);
@@ -95,7 +97,7 @@ TEST(NoiseInjection, SmoothsTheThermalProfile) {
   InjectionOptions opt;
   opt.budget_fraction = 0.4;
   opt.iterations = 8;
-  const auto result = run_noise_injection(fp, solver, opt);
+  const auto result = run_noise_injection(fp, solver.engine(), opt);
   for (std::size_t d = 0; d < result.roughness_before.size(); ++d)
     EXPECT_LT(result.roughness_after[d], result.roughness_before[d]);
 }
@@ -114,8 +116,8 @@ TEST(NoiseInjection, ReducesActivityDistinguishability) {
     InjectionOptions opt;
     opt.budget_fraction = budget;
     opt.iterations = 8;
-    const auto ra = run_noise_injection(fp, solver, opt, &act_a);
-    const auto rb = run_noise_injection(fp, solver, opt, &act_b);
+    const auto ra = run_noise_injection(fp, solver.engine(), opt, &act_a);
+    const auto rb = run_noise_injection(fp, solver.engine(), opt, &act_b);
     const auto observed = [&](const std::vector<double>& act,
                               const InjectionResult& r) {
       std::vector<GridD> p;
@@ -150,7 +152,7 @@ TEST(NoiseInjection, CorrelationMayRiseOnHotspotDesigns) {
   InjectionOptions opt;
   opt.budget_fraction = 0.4;
   opt.iterations = 8;
-  const auto result = run_noise_injection(fp, solver, opt);
+  const auto result = run_noise_injection(fp, solver.engine(), opt);
   EXPECT_GT(result.correlation_after[0],
             result.correlation_before[0] - 0.05);
 }
@@ -161,7 +163,7 @@ TEST(NoiseInjection, RaisesTemperature) {
   const auto solver = small_solver(fp);
   InjectionOptions opt;
   opt.budget_fraction = 0.4;
-  const auto result = run_noise_injection(fp, solver, opt);
+  const auto result = run_noise_injection(fp, solver.engine(), opt);
   EXPECT_GE(result.peak_k_after, result.peak_k_before - 1e-9);
 }
 
@@ -176,7 +178,7 @@ TEST(NoiseInjection, HigherBudgetsSmoothMore) {
     InjectionOptions opt;
     opt.budget_fraction = budget;
     opt.iterations = 8;
-    const auto result = run_noise_injection(fp, solver, opt);
+    const auto result = run_noise_injection(fp, solver.engine(), opt);
     // Monotone until the sweet spot; beyond it the controller stops, so
     // larger budgets can at worst tie.
     EXPECT_LE(result.roughness_after[0], prev + 1e-9) << "budget=" << budget;
@@ -190,8 +192,9 @@ TEST(NoiseInjection, ActivitySampleOverrideIsUsed) {
   std::vector<double> sample(fp.modules().size(), 0.5);
   InjectionOptions opt;
   opt.budget_fraction = 0.1;
-  const auto with_sample = run_noise_injection(fp, solver, opt, &sample);
-  const auto nominal = run_noise_injection(fp, solver, opt);
+  const auto with_sample =
+      run_noise_injection(fp, solver.engine(), opt, &sample);
+  const auto nominal = run_noise_injection(fp, solver.engine(), opt);
   // Uniform activity: before-correlations differ from the nominal case.
   EXPECT_NE(with_sample.correlation_before[0],
             nominal.correlation_before[0]);
@@ -202,15 +205,15 @@ TEST(NoiseInjection, InvalidOptionsThrow) {
   const auto solver = small_solver(fp);
   InjectionOptions opt;
   opt.budget_fraction = -0.1;
-  EXPECT_THROW((void)run_noise_injection(fp, solver, opt),
+  EXPECT_THROW((void)run_noise_injection(fp, solver.engine(), opt),
                std::invalid_argument);
   opt = {};
   opt.spend_fraction = 0.0;
-  EXPECT_THROW((void)run_noise_injection(fp, solver, opt),
+  EXPECT_THROW((void)run_noise_injection(fp, solver.engine(), opt),
                std::invalid_argument);
   opt = {};
   opt.sites_per_die = 0;
-  EXPECT_THROW((void)run_noise_injection(fp, solver, opt),
+  EXPECT_THROW((void)run_noise_injection(fp, solver.engine(), opt),
                std::invalid_argument);
 }
 
@@ -227,7 +230,7 @@ TEST_P(InjectionBudgetSweep, OverheadScalesWithBudget) {
   opt.iterations = 10;
   opt.spend_fraction = 1.0;       // spend everything in one go
   opt.stop_at_sweet_spot = false; // accounting test: naive controller
-  const auto result = run_noise_injection(fp, solver, opt);
+  const auto result = run_noise_injection(fp, solver.engine(), opt);
   EXPECT_NEAR(result.power_overhead_w, GetParam() * nominal,
               1e-6 * nominal);
 }

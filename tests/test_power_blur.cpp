@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "leakage/pearson.hpp"
+#include "thermal/grid_solver.hpp"
 #include "thermal/power_blur.hpp"
 
 namespace tsc3d::thermal {
@@ -23,7 +24,8 @@ ThermalConfig test_cfg(std::size_t grid = 16) {
 
 class PowerBlurTest : public ::testing::Test {
  protected:
-  PowerBlurTest() : solver_(test_tech(), test_cfg()), blur_(solver_, 6) {}
+  PowerBlurTest()
+      : solver_(test_tech(), test_cfg()), blur_(solver_.engine(), 6) {}
   GridSolver solver_;
   PowerBlur blur_;
 };

@@ -1,15 +1,17 @@
 // Tests of backend auto-selection (thermal.solver = auto, EngineRole)
 // and the solver-policy edge cases around it: auto resolves per engine
 // role (fast_loop -> SOR, sampling/verify -> multigrid) while explicit
-// backends force; non-coarsenable grids fall back to SOR bitwise with
-// or without FMG; a single-level hierarchy degenerates without
-// divergence; stalled V-cycles (strongly z-coupled monolithic stacks)
-// hand the solve back to SOR and still meet the cross-backend accuracy
-// contract; and the multigrid transient path stays bitwise across
-// thread counts (the *Parallel suite also runs under TSan on CI) and
-// agrees with the SOR transient within the documented 1e-3 K bound.
+// backends force; non-coarsenable grids fall back to SOR bitwise; a
+// single-level hierarchy degenerates without divergence; stalled
+// V-cycles (strongly z-coupled monolithic stacks) hand the solve back
+// to SOR and still meet the cross-backend accuracy contract, and a
+// stalled transient stays on SOR to its end; and the multigrid
+// transient path stays bitwise across thread counts (the *Parallel
+// suite also runs under TSan on CI) and agrees with the SOR transient
+// within the documented 1e-3 K bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "thermal/multigrid.hpp"
@@ -147,54 +149,44 @@ TEST(SolverPolicy, AutoOnNonCoarsenableGridFallsBackToSorBitwise) {
   expect_bitwise_equal(ra, forced.solve_steady(power, tsv));
 }
 
-TEST(SolverPolicy, FmgFlagIrrelevantOnNonCoarsenableGridBitwise) {
-  constexpr std::size_t g = 6;
-  const auto power = test_power(g);
-  const GridD tsv = test_tsv(g);
-  ThermalConfig with_fmg = test_thermal(g, SolverBackend::multigrid);
-  with_fmg.mg_fmg = true;
-  ThermalConfig without = with_fmg;
-  without.mg_fmg = false;
-  ThermalEngine a(test_tech(), with_fmg);
-  ThermalEngine b(test_tech(), without);
-  expect_bitwise_equal(a.solve_steady(power, tsv),
-                       b.solve_steady(power, tsv));
-}
-
 TEST(SolverPolicy, SingleLevelHierarchyDegeneratesWithoutDivergence) {
-  // mg_levels = 1 under a 32x32 grid leaves a LARGE coarsest level
-  // (16x16), which the fixed-budget coarsest smoother cannot solve
+  // A 30x30 grid halves once, to 15x15, and stops: a LARGE coarsest
+  // level, which the fixed-budget coarsest smoother cannot solve
   // accurately -- the cycle's contraction degrades, which is exactly
   // what the stall detector is for.  The contract here is graceful
   // degradation, not speed: the solve must converge (V-cycles, then
   // SOR fallback if they stall) and stay inside the accuracy contract.
-  ThermalConfig cfg = test_thermal(32, SolverBackend::multigrid);
-  cfg.mg_levels = 1;
-  const auto power = test_power(32);
-  const GridD tsv = test_tsv(32);
-  ThermalEngine mg(test_tech(), cfg);
+  constexpr std::size_t g = 30;
+  const auto power = test_power(g);
+  const GridD tsv = test_tsv(g);
+  ThermalEngine mg(test_tech(), test_thermal(g, SolverBackend::multigrid));
   const ThermalResult rm = mg.solve_steady(power, tsv);
   ASSERT_TRUE(rm.converged);
   EXPECT_GT(rm.vcycles, 0u);
 
-  ThermalEngine sor(test_tech(), test_thermal(32, SolverBackend::sor));
+  ThermalEngine sor(test_tech(), test_thermal(g, SolverBackend::sor));
   EXPECT_LT(max_abs_diff(rm, sor.solve_steady(power, tsv)), 1e-3);
 }
 
 TEST(SolverPolicy, FmgDisabledColdSolveStillConvergesAndAgrees) {
-  ThermalConfig no_fmg = test_thermal(32, SolverBackend::multigrid);
-  no_fmg.mg_fmg = false;
+  // Every cold multigrid solve is FMG-seeded.  Plain V-cycles from a
+  // flat ambient start remain reachable: install an all-ambient field
+  // and warm-start from it, the arithmetic of a cold solve without the
+  // seed.
+  const ThermalConfig cfg = test_thermal(32, SolverBackend::multigrid);
   const auto power = test_power(32);
   const GridD tsv = test_tsv(32);
-  ThermalEngine plain(test_tech(), no_fmg);
-  const ThermalResult rp = plain.solve_steady(power, tsv);
-  ASSERT_TRUE(rp.converged);
-  EXPECT_FALSE(rp.fmg_started);
-
-  ThermalEngine fmg(test_tech(), test_thermal(32, SolverBackend::multigrid));
-  const ThermalResult rf = fmg.solve_steady(power, tsv);
+  ThermalEngine engine(test_tech(), cfg);
+  const ThermalResult rf = engine.solve_steady(power, tsv);
   ASSERT_TRUE(rf.converged);
   EXPECT_TRUE(rf.fmg_started);
+
+  FieldSnapshot ambient = engine.save_field();
+  std::fill(ambient.temp.begin(), ambient.temp.end(), cfg.ambient_k);
+  engine.restore_field(ambient);
+  const ThermalResult rp = engine.solve_steady(power, tsv);
+  ASSERT_TRUE(rp.converged);
+  EXPECT_FALSE(rp.fmg_started);
   // The FMG seed exists to shrink the V-cycle loop.
   EXPECT_LE(rf.vcycles, rp.vcycles);
   EXPECT_LT(max_abs_diff(rp, rf), 1e-3);
@@ -202,7 +194,7 @@ TEST(SolverPolicy, FmgDisabledColdSolveStillConvergesAndAgrees) {
 
 TEST(SolverPolicy, MultigridBudgetExhaustionReportsNotConverged) {
   ThermalConfig cfg = test_thermal(16, SolverBackend::multigrid);
-  cfg.max_iterations = 3;  // less than one cycle's 2 * mg_smooth_sweeps
+  cfg.max_iterations = 3;  // less than one cycle's 2 * kSmoothSweeps
   cfg.tolerance_k = 1e-13;
   ThermalEngine engine(test_tech(), cfg);
   const ThermalResult res =
@@ -240,6 +232,42 @@ TEST(SolverPolicy, TsvStackDoesNotTripTheStallDetector) {
   ASSERT_TRUE(res.converged);
   EXPECT_FALSE(res.mg_stalled);
   EXPECT_EQ(mg.stats().mg_stalls, 0u);
+}
+
+TEST(SolverPolicy, TransientStallIsStickyForTheRestOfTheTransient) {
+  // A monolithic transient stalls like a monolithic steady solve.  The
+  // implicit-Euler operator is the same every step, so the stall is
+  // sticky: the step that stalls finishes on SOR, and every later step
+  // runs SOR alone.  The whole transient therefore counts one stall and
+  // only the first step's cycles (one that sets the contraction
+  // reference plus kMgStallCycles that fail it).
+  const TechnologyConfig tech = make_monolithic(test_tech(4));
+  constexpr std::size_t g = 16;
+  const auto power = test_power(g, 4);
+  const GridD tsv = test_tsv(g);
+  ThermalEngine mg(tech, test_thermal(g, SolverBackend::multigrid));
+  const TransientResult rm =
+      mg.solve_transient([&](double) { return power; }, tsv, 1.0, 0.25);
+  ASSERT_EQ(rm.unconverged_steps, 0u);
+  EXPECT_TRUE(rm.final_state.mg_stalled);
+  EXPECT_EQ(rm.final_state.vcycles, 4u);
+  EXPECT_EQ(mg.stats().vcycles, 4u);
+  EXPECT_EQ(mg.stats().mg_stalls, 1u);
+
+  ThermalEngine sor(tech, test_thermal(g, SolverBackend::sor));
+  const TransientResult rs =
+      sor.solve_transient([&](double) { return power; }, tsv, 1.0, 0.25);
+  ASSERT_EQ(rs.unconverged_steps, 0u);
+  EXPECT_LT(max_abs_diff(rm.final_state, rs.final_state), 1e-3);
+
+  // The stall does not outlive the transient: a cold steady solve on
+  // the same engine V-cycles again and stalls on its own.
+  const ThermalResult steady =
+      mg.solve_steady(power, tsv, ThermalEngine::Start::cold);
+  ASSERT_TRUE(steady.converged);
+  EXPECT_GT(steady.vcycles, 0u);
+  EXPECT_TRUE(steady.mg_stalled);
+  EXPECT_EQ(mg.stats().mg_stalls, 2u);
 }
 
 // --- transient multigrid (runs under TSan on CI) -------------------------

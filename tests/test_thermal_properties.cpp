@@ -3,6 +3,7 @@
 // plus the closed-loop (feedback) transient API.
 #include <cmath>
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "core/rng.hpp"
 #include "thermal/grid_solver.hpp"
@@ -39,6 +40,14 @@ struct Config {
   std::size_t dies;
   IntegrationFlavor flavor;
 };
+
+// gtest prints a parameter into the listed test name, and by default it
+// dumps the raw bytes, padding included, which differ between builds.
+// Print the fields instead, e.g. "g16_d3_tsv".
+void PrintTo(const Config& c, std::ostream* os) {
+  *os << "g" << c.grid << "_d" << c.dies
+      << (c.flavor == IntegrationFlavor::monolithic ? "_mono" : "_tsv");
+}
 
 class ConservationSweep : public ::testing::TestWithParam<Config> {};
 
