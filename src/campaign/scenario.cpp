@@ -88,12 +88,17 @@ ScenarioContext scenario_context(const service::JobSpec& job,
   return ctx;
 }
 
-std::uint64_t scenario_key(const ScenarioContext& ctx) {
-  std::uint64_t h = service::fnv1a64("tsc3d-scenario v1");
+namespace {
+
+/// Digest of the scenario identity WITHOUT the producer's code version:
+/// the root of every stage seed, so a kCodeVersion bump that leaves the
+/// floorplans bitwise unchanged leaves every scenario's streams unchanged
+/// too.
+std::uint64_t identity_digest(const ScenarioContext& ctx) {
+  std::uint64_t h = service::fnv1a64("tsc3d-scenario v2");
   h = hash_u64(h, ctx.exploration.design_hash);
   h = hash_u64(h, ctx.exploration.config_hash);
   h = hash_u64(h, ctx.exploration.seed);
-  h = hash_str(h, ctx.exploration.code_version);
   h = hash_str(h, ctx.attack);
   h = hash_str(h, ctx.mitigation);
   h = hash_str(h, ctx.flavor);
@@ -101,9 +106,15 @@ std::uint64_t scenario_key(const ScenarioContext& ctx) {
   return h;
 }
 
+}  // namespace
+
+std::uint64_t scenario_key(const ScenarioContext& ctx) {
+  return hash_str(identity_digest(ctx), ctx.exploration.code_version);
+}
+
 std::uint64_t scenario_seed(const ScenarioContext& ctx,
                             const std::string& purpose) {
-  return hash_str(scenario_key(ctx), purpose);
+  return hash_str(identity_digest(ctx), purpose);
 }
 
 Floorplan3D rebuild_floorplan(const service::JobSpec& exploration,

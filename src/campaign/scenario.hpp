@@ -60,10 +60,11 @@ struct ScenarioContext {
 /// re-validate the full context, so collisions degrade to misses).
 [[nodiscard]] std::uint64_t scenario_key(const ScenarioContext& ctx);
 
-/// Deterministic per-stage RNG seed: digest of the context chained with
-/// a purpose tag ("mitigation", "attack", "leakage").  Distinct stages
-/// get uncorrelated streams; the same stage of the same scenario always
-/// gets the same one.
+/// Deterministic per-stage RNG seed: digest of the context, minus the
+/// exploration's code version, chained with a purpose tag ("mitigation",
+/// "attack", "leakage").  Distinct stages get uncorrelated streams; the
+/// same stage of the same scenario always gets the same one, across code
+/// versions too (scenario_key still separates their cache entries).
 [[nodiscard]] std::uint64_t scenario_seed(const ScenarioContext& ctx,
                                           const std::string& purpose);
 

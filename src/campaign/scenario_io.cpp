@@ -8,52 +8,33 @@
 
 namespace tsc3d::campaign {
 
+// --- the scenario result's records, in on-disk order --------------------
+
+template <class IO, service::RecordOf<ScenarioContext> R>
+void fields(IO& io, R& c) {
+  io(c.exploration, c.attack, c.mitigation, c.flavor, c.params_hash);
+}
+
+template <class IO, service::RecordOf<ScenarioResult> R>
+void fields(IO& io, R& r) {
+  io(r.context, r.legal, r.wirelength_m, r.power_w, r.critical_delay_ns,
+     r.peak_k, r.mitigation_overhead_w, r.mitigation_performance_loss,
+     r.mitigation_peak_k, r.attack_success, r.pearson_abs_max, r.mi_max,
+     r.svf, r.spatial_entropy_max, r.leakage, r.overhead);
+}
+
 namespace {
 
 constexpr service::FrameFormat kFrame{
     {'T', 'S', 'C', '3', 'D', 'S', 'C', 'N'}, service::kScenarioFormatVersion,
     "scenario"};
 
-void put_scenario_context(service::ByteWriter& w,
-                          const ScenarioContext& ctx) {
-  service::put_context(w, ctx.exploration);
-  w.str(ctx.attack);
-  w.str(ctx.mitigation);
-  w.str(ctx.flavor);
-  w.u64(ctx.params_hash);
-}
-
-ScenarioContext get_scenario_context(service::ByteReader& r) {
-  ScenarioContext ctx;
-  ctx.exploration = service::get_context(r);
-  ctx.attack = r.str();
-  ctx.mitigation = r.str();
-  ctx.flavor = r.str();
-  ctx.params_hash = r.u64();
-  return ctx;
-}
-
 }  // namespace
 
 void save_scenario_file(const std::filesystem::path& path,
                         const ScenarioResult& res) {
   service::ByteWriter payload;
-  put_scenario_context(payload, res.context);
-  payload.boolean(res.legal);
-  payload.f64(res.wirelength_m);
-  payload.f64(res.power_w);
-  payload.f64(res.critical_delay_ns);
-  payload.f64(res.peak_k);
-  payload.f64(res.mitigation_overhead_w);
-  payload.f64(res.mitigation_performance_loss);
-  payload.f64(res.mitigation_peak_k);
-  payload.f64(res.attack_success);
-  payload.f64(res.pearson_abs_max);
-  payload.f64(res.mi_max);
-  payload.f64(res.svf);
-  payload.f64(res.spatial_entropy_max);
-  payload.f64(res.leakage);
-  payload.f64(res.overhead);
+  payload(res);
   service::write_frame(path, kFrame, payload);
 }
 
@@ -61,27 +42,7 @@ ScenarioLoad load_scenario_file(const std::filesystem::path& path,
                                 const ScenarioContext* expect) {
   ScenarioLoad out;
   ScenarioResult res;
-  out.reason = service::read_frame(path, kFrame, [&](service::ByteReader& r) {
-    res.context = get_scenario_context(r);
-    if (expect != nullptr && !(res.context == *expect))
-      return std::string("context mismatch");
-    res.legal = r.boolean();
-    res.wirelength_m = r.f64();
-    res.power_w = r.f64();
-    res.critical_delay_ns = r.f64();
-    res.peak_k = r.f64();
-    res.mitigation_overhead_w = r.f64();
-    res.mitigation_performance_loss = r.f64();
-    res.mitigation_peak_k = r.f64();
-    res.attack_success = r.f64();
-    res.pearson_abs_max = r.f64();
-    res.mi_max = r.f64();
-    res.svf = r.f64();
-    res.spatial_entropy_max = r.f64();
-    res.leakage = r.f64();
-    res.overhead = r.f64();
-    return std::string{};
-  });
+  out.reason = service::read_record(path, kFrame, expect, res);
   out.ok = out.reason.empty();
   if (out.ok) out.result = std::move(res);
   return out;

@@ -139,17 +139,14 @@ struct AnnealStats {
   double best_cost = 0.0;
   bool found_legal = false;   ///< some visited state fit the outline
   CostBreakdown best_breakdown;
+
+  [[nodiscard]] bool operator==(const AnnealStats&) const = default;
 };
 
-/// Resumable annealing run: everything `Annealer::run` used to keep in
-/// locals, so an external driver (the parallel-tempering orchestrator)
-/// can interleave stages with cross-chain state exchanges.  Produced by
-/// Annealer::begin, advanced by run_stage, closed by finish; plain run()
-/// composes the three and behaves exactly as before.
-struct AnnealSession {
-  LayoutState* state = nullptr;   ///< the state being annealed (chain-owned)
+/// The value bookkeeping of an annealing run -- everything but the
+/// layout states.  Checkpoints store it as is (exploration_checkpoint.hpp).
+struct AnnealProgress {
   CostBreakdown current;          ///< cost of *state under the session's fp
-  LayoutState best;
   CostBreakdown best_cost;
   bool best_legal = false;
   double initial_outline_weight = 0.0;
@@ -166,6 +163,18 @@ struct AnnealSession {
   /// with a full evaluation before annealing on.
   bool refresh_pending = false;
   AnnealStats stats;
+
+  [[nodiscard]] bool operator==(const AnnealProgress&) const = default;
+};
+
+/// Resumable annealing run: everything `Annealer::run` used to keep in
+/// locals, so an external driver (the parallel-tempering orchestrator)
+/// can interleave stages with cross-chain state exchanges.  Produced by
+/// Annealer::begin, advanced by run_stage, closed by finish; plain run()
+/// composes the three and behaves exactly as before.
+struct AnnealSession : AnnealProgress {
+  LayoutState* state = nullptr;   ///< the state being annealed (chain-owned)
+  LayoutState best;
 };
 
 class Annealer {

@@ -56,6 +56,8 @@ struct ExchangeStats {
   std::size_t rounds = 0;
   std::size_t attempts = 0;
   std::size_t accepts = 0;
+
+  [[nodiscard]] bool operator==(const ExchangeStats&) const = default;
 };
 
 /// Outcome of an annealing run.

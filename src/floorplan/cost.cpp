@@ -37,8 +37,8 @@ CostEvaluator::CostEvaluator(Floorplan3D& fp, thermal::ThermalEngine& engine,
   if (engine_.nx() != opt_.leakage_grid || engine_.ny() != opt_.leakage_grid)
     throw std::invalid_argument(
         "CostEvaluator: engine grid must match leakage_grid");
-  cached_correlation_.assign(fp_.tech().num_dies, 0.0);
-  cached_entropy_.assign(fp_.tech().num_dies, 0.0);
+  state_.correlation.assign(fp_.tech().num_dies, 0.0);
+  state_.entropy.assign(fp_.tech().num_dies, 0.0);
 }
 
 void CostEvaluator::set_thermal_tolerance_scale(double scale) {
@@ -143,7 +143,7 @@ void CostEvaluator::scale_outline_weight(double factor) {
 void CostEvaluator::measure_cheap(CostBreakdown& c) {
   measure_layout_terms_incremental(c);
   if (opt_.cross_check_interval > 0 &&
-      ++cheap_evals_ % opt_.cross_check_interval == 0) {
+      ++state_.cheap_evals % opt_.cross_check_interval == 0) {
     CostBreakdown ref;
     measure_layout_terms_full(ref);
     if (ref.bbox_area_ratio != c.bbox_area_ratio ||
@@ -178,9 +178,9 @@ void CostEvaluator::measure_voltage(CostBreakdown& c) {
   c.power_w = va.total_power_w;
   c.num_volumes = static_cast<double>(va.num_volumes());
   c.power_gradient = va.intra_density_stddev + va.inter_density_stddev;
-  cached_power_ = c.power_w;
-  cached_volumes_ = c.num_volumes;
-  cached_gradient_ = c.power_gradient;
+  state_.power = c.power_w;
+  state_.volumes = c.num_volumes;
+  state_.gradient = c.power_gradient;
 }
 
 void CostEvaluator::measure_thermal(CostBreakdown& c) {
@@ -209,30 +209,32 @@ void CostEvaluator::measure_thermal(CostBreakdown& c) {
   }
   c.peak_k_rise = std::max(0.0, peak - temps[0].min());
 
-  cached_peak_rise_ = c.peak_k_rise;
-  cached_correlation_ = c.correlation;
-  cached_entropy_ = c.entropy;
+  state_.peak_rise = c.peak_k_rise;
+  state_.correlation = c.correlation;
+  state_.entropy = c.entropy;
 }
 
 void CostEvaluator::init_normalizers(const CostBreakdown& c) {
   auto guard = [](double v) { return v > 1e-12 ? v : 1.0; };
-  norm_.area = guard(c.bbox_area_ratio);
-  norm_.wl = guard(c.wirelength_um);
-  norm_.delay = guard(c.delay_ns);
-  norm_.peak = guard(c.peak_k_rise);
-  norm_.power = guard(c.power_w);
-  norm_.volumes = guard(c.num_volumes);
-  norm_.gradient = guard(c.power_gradient);
+  Normalizers& n = state_.norm;
+  n.area = guard(c.bbox_area_ratio);
+  n.wl = guard(c.wirelength_um);
+  n.delay = guard(c.delay_ns);
+  n.peak = guard(c.peak_k_rise);
+  n.power = guard(c.power_w);
+  n.volumes = guard(c.num_volumes);
+  n.gradient = guard(c.power_gradient);
   double corr = 0.0, ent = 0.0;
   for (const double r : c.correlation) corr += std::abs(r);
   for (const double s : c.entropy) ent += s;
-  norm_.corr = guard(corr / guard(static_cast<double>(c.correlation.size())));
-  norm_.entropy = guard(ent / guard(static_cast<double>(c.entropy.size())));
-  norm_.ready = true;
+  n.corr = guard(corr / guard(static_cast<double>(c.correlation.size())));
+  n.entropy = guard(ent / guard(static_cast<double>(c.entropy.size())));
+  n.ready = true;
 }
 
 double CostEvaluator::combine(const CostBreakdown& c) const {
   const CostWeights& w = opt_.weights;
+  const Normalizers& n = state_.norm;
   double corr = 0.0;
   for (const double r : c.correlation) corr += std::abs(r);
   if (!c.correlation.empty()) corr /= static_cast<double>(c.correlation.size());
@@ -240,16 +242,16 @@ double CostEvaluator::combine(const CostBreakdown& c) const {
   for (const double s : c.entropy) ent += s;
   if (!c.entropy.empty()) ent /= static_cast<double>(c.entropy.size());
 
-  return w.area * (c.bbox_area_ratio / norm_.area) +
+  return w.area * (c.bbox_area_ratio / n.area) +
          w.outline * c.outline_penalty +
-         w.wirelength * (c.wirelength_um / norm_.wl) +
-         w.delay * (c.delay_ns / norm_.delay) +
-         w.peak_temp * (c.peak_k_rise / norm_.peak) +
-         w.power * (c.power_w / norm_.power) +
-         w.volumes * (c.num_volumes / norm_.volumes) +
-         w.power_gradient * (c.power_gradient / norm_.gradient) +
-         w.correlation * (corr / norm_.corr) +
-         w.entropy * (ent / norm_.entropy);
+         w.wirelength * (c.wirelength_um / n.wl) +
+         w.delay * (c.delay_ns / n.delay) +
+         w.peak_temp * (c.peak_k_rise / n.peak) +
+         w.power * (c.power_w / n.power) +
+         w.volumes * (c.num_volumes / n.volumes) +
+         w.power_gradient * (c.power_gradient / n.gradient) +
+         w.correlation * (corr / n.corr) +
+         w.entropy * (ent / n.entropy);
 }
 
 CostBreakdown CostEvaluator::evaluate_cheap() {
@@ -257,19 +259,19 @@ CostBreakdown CostEvaluator::evaluate_cheap() {
   measure_cheap(c);
   // Carry the cached expensive terms (entropy is cheap and was measured
   // live above whenever its weight is active).
-  c.peak_k_rise = cached_peak_rise_;
-  c.power_w = cached_power_;
-  c.num_volumes = cached_volumes_;
-  c.power_gradient = cached_gradient_;
-  c.correlation = cached_correlation_;
-  if (c.entropy.empty()) c.entropy = cached_entropy_;
-  if (!have_expensive_) {
+  c.peak_k_rise = state_.peak_rise;
+  c.power_w = state_.power;
+  c.num_volumes = state_.volumes;
+  c.power_gradient = state_.gradient;
+  c.correlation = state_.correlation;
+  if (c.entropy.empty()) c.entropy = state_.entropy;
+  if (!state_.have_expensive) {
     // First contact: populate the caches so the totals are meaningful.
     measure_voltage(c);
     measure_thermal(c);
-    have_expensive_ = true;
+    state_.have_expensive = true;
   }
-  if (!norm_.ready) init_normalizers(c);
+  if (!state_.norm.ready) init_normalizers(c);
   c.total = combine(c);
   return c;
 }
@@ -277,16 +279,16 @@ CostBreakdown CostEvaluator::evaluate_cheap() {
 CostBreakdown CostEvaluator::evaluate_thermal() {
   CostBreakdown c;
   measure_cheap(c);
-  if (!have_expensive_) {
+  if (!state_.have_expensive) {
     measure_voltage(c);
-    have_expensive_ = true;
+    state_.have_expensive = true;
   } else {
-    c.power_w = cached_power_;
-    c.num_volumes = cached_volumes_;
-    c.power_gradient = cached_gradient_;
+    c.power_w = state_.power;
+    c.num_volumes = state_.volumes;
+    c.power_gradient = state_.gradient;
   }
   measure_thermal(c);
-  if (!norm_.ready) init_normalizers(c);
+  if (!state_.norm.ready) init_normalizers(c);
   c.total = combine(c);
   return c;
 }
@@ -296,8 +298,8 @@ CostBreakdown CostEvaluator::evaluate_full() {
   measure_cheap(c);
   measure_voltage(c);
   measure_thermal(c);
-  have_expensive_ = true;
-  if (!norm_.ready) init_normalizers(c);
+  state_.have_expensive = true;
+  if (!state_.norm.ready) init_normalizers(c);
   c.total = combine(c);
   return c;
 }
@@ -306,27 +308,7 @@ CostEvaluator::CheckpointState CostEvaluator::checkpoint_state() const {
   if (in_trial())
     throw std::logic_error(
         "CostEvaluator: cannot checkpoint inside a trial bracket");
-  CheckpointState st;
-  st.outline_weight = opt_.weights.outline;
-  st.peak_rise = cached_peak_rise_;
-  st.power = cached_power_;
-  st.volumes = cached_volumes_;
-  st.gradient = cached_gradient_;
-  st.correlation = cached_correlation_;
-  st.entropy = cached_entropy_;
-  st.have_expensive = have_expensive_;
-  st.cheap_evals = cheap_evals_;
-  st.norm_area = norm_.area;
-  st.norm_wl = norm_.wl;
-  st.norm_delay = norm_.delay;
-  st.norm_peak = norm_.peak;
-  st.norm_power = norm_.power;
-  st.norm_volumes = norm_.volumes;
-  st.norm_corr = norm_.corr;
-  st.norm_entropy = norm_.entropy;
-  st.norm_gradient = norm_.gradient;
-  st.norm_ready = norm_.ready;
-  return st;
+  return {opt_.weights.outline, state_};
 }
 
 void CostEvaluator::restore_checkpoint_state(const CheckpointState& st) {
@@ -334,24 +316,7 @@ void CostEvaluator::restore_checkpoint_state(const CheckpointState& st) {
     throw std::logic_error(
         "CostEvaluator: cannot restore inside a trial bracket");
   opt_.weights.outline = st.outline_weight;
-  cached_peak_rise_ = st.peak_rise;
-  cached_power_ = st.power;
-  cached_volumes_ = st.volumes;
-  cached_gradient_ = st.gradient;
-  cached_correlation_ = st.correlation;
-  cached_entropy_ = st.entropy;
-  have_expensive_ = st.have_expensive;
-  cheap_evals_ = st.cheap_evals;
-  norm_.area = st.norm_area;
-  norm_.wl = st.norm_wl;
-  norm_.delay = st.norm_delay;
-  norm_.peak = st.norm_peak;
-  norm_.power = st.norm_power;
-  norm_.volumes = st.norm_volumes;
-  norm_.corr = st.norm_corr;
-  norm_.entropy = st.norm_entropy;
-  norm_.gradient = st.norm_gradient;
-  norm_.ready = st.norm_ready;
+  state_ = st.state;
   // The value-keyed die-term cache self-heals; clear it so the first
   // post-resume evaluation recomputes from the repacked bounds.
   die_terms_.clear();

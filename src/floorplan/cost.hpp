@@ -65,6 +65,8 @@ struct CostBreakdown {
   std::vector<double> entropy;      ///< per die
   double total = 0.0;
   bool fits_outline = false;
+
+  [[nodiscard]] bool operator==(const CostBreakdown&) const = default;
 };
 
 /// Evaluator bound to one floorplan database.  The annealer mutates the
@@ -141,21 +143,40 @@ class CostEvaluator {
   // bitwise-identical to an uninterrupted run: the adaptive normalizers
   // (frozen at the first full evaluation), the cached raw values of the
   // expensive terms between refreshes, the escalated outline weight, and
-  // the cross-check cadence counter.  The value-keyed per-die layout-term
-  // cache is deliberately absent -- it self-heals from the repacked
-  // bounds with identical arithmetic.
+  // the cross-check cadence counter.  The evaluator keeps all of it but
+  // the outline weight (which lives in its options) in one Resumable
+  // record, so a checkpoint copies that record whole.  The value-keyed
+  // per-die layout-term cache is deliberately absent -- it self-heals
+  // from the repacked bounds with identical arithmetic.
+
+  /// Adaptive normalizers: each term's value at the first full
+  /// evaluation (guarded away from zero).
+  struct Normalizers {
+    double area = 1.0, wl = 1.0, delay = 1.0, peak = 1.0, power = 1.0,
+           volumes = 1.0, corr = 1.0, entropy = 1.0, gradient = 1.0;
+    bool ready = false;
+
+    [[nodiscard]] bool operator==(const Normalizers&) const = default;
+  };
+
+  /// The evaluator's resumable values besides the outline weight.
+  struct Resumable {
+    /// Cached raw values of the expensive terms between refreshes.
+    double peak_rise = 0.0, power = 0.0, volumes = 0.0, gradient = 0.0;
+    std::vector<double> correlation, entropy;
+    bool have_expensive = false;
+    std::uint64_t cheap_evals = 0;  ///< cross-check cadence counter
+    Normalizers norm;
+
+    [[nodiscard]] bool operator==(const Resumable&) const = default;
+  };
 
   /// Everything restore_checkpoint_state() needs (see above).
   struct CheckpointState {
     double outline_weight = 0.0;
-    double peak_rise = 0.0, power = 0.0, volumes = 0.0, gradient = 0.0;
-    std::vector<double> correlation, entropy;
-    bool have_expensive = false;
-    std::uint64_t cheap_evals = 0;
-    double norm_area = 1.0, norm_wl = 1.0, norm_delay = 1.0, norm_peak = 1.0,
-           norm_power = 1.0, norm_volumes = 1.0, norm_corr = 1.0,
-           norm_entropy = 1.0, norm_gradient = 1.0;
-    bool norm_ready = false;
+    Resumable state;
+
+    [[nodiscard]] bool operator==(const CheckpointState&) const = default;
   };
 
   /// Snapshot the resumable state.  Throws std::logic_error while a
@@ -205,8 +226,6 @@ class CostEvaluator {
   /// once and reads module positions live.
   power::ElmoreTiming timing_;
 
-  std::size_t cheap_evals_ = 0;  ///< cross-check cadence counter
-
   // --- delta-form per-die layout terms (see measure_layout_terms_... ) --
   // The area and outline contributions of each die, cached against the
   // die bounds they were derived from.  A move touches one or two dies;
@@ -224,21 +243,7 @@ class CostEvaluator {
   double die_terms_outline_w_ = -1.0;  ///< outline the cache was built for
   double die_terms_outline_h_ = -1.0;
 
-  // Cached raw values of the expensive terms between refreshes.
-  double cached_peak_rise_ = 0.0;
-  double cached_power_ = 0.0;
-  double cached_volumes_ = 0.0;
-  double cached_gradient_ = 0.0;
-  std::vector<double> cached_correlation_;
-  std::vector<double> cached_entropy_;
-  bool have_expensive_ = false;
-
-  // Adaptive normalizers (value of the first full evaluation).
-  struct Normalizers {
-    double area = 1.0, wl = 1.0, delay = 1.0, peak = 1.0, power = 1.0,
-           volumes = 1.0, corr = 1.0, entropy = 1.0, gradient = 1.0;
-    bool ready = false;
-  } norm_;
+  Resumable state_;  ///< see "checkpointing" above
 };
 
 }  // namespace tsc3d::floorplan

@@ -6,12 +6,9 @@ namespace tsc3d::floorplan {
 
 LayoutStateImage capture_layout(const LayoutState& state) {
   LayoutStateImage img;
-  img.positive.reserve(state.die_sp.size());
-  img.negative.reserve(state.die_sp.size());
-  for (const SequencePair& sp : state.die_sp) {
-    img.positive.push_back(sp.positive());
-    img.negative.push_back(sp.negative());
-  }
+  img.die_sp.reserve(state.die_sp.size());
+  for (const SequencePair& sp : state.die_sp)
+    img.die_sp.push_back({sp.positive(), sp.negative()});
   img.width = state.width;
   img.height = state.height;
   img.die_of = state.die_of;
@@ -19,17 +16,13 @@ LayoutStateImage capture_layout(const LayoutState& state) {
 }
 
 LayoutState restore_layout(const LayoutStateImage& image) {
-  if (image.positive.size() != image.negative.size())
-    throw std::invalid_argument(
-        "restore_layout: positive/negative die count mismatch");
   if (image.width.size() != image.height.size() ||
       image.width.size() != image.die_of.size())
     throw std::invalid_argument("restore_layout: module array size mismatch");
   LayoutState s;
-  s.die_sp.reserve(image.positive.size());
-  for (std::size_t d = 0; d < image.positive.size(); ++d)
-    s.die_sp.push_back(
-        SequencePair::restore(image.positive[d], image.negative[d]));
+  s.die_sp.reserve(image.die_sp.size());
+  for (const LayoutStateImage::DieSequences& sp : image.die_sp)
+    s.die_sp.push_back(SequencePair::restore(sp.positive, sp.negative));
   s.width = image.width;
   s.height = image.height;
   s.die_of = image.die_of;
@@ -46,20 +39,7 @@ ChainCheckpoint capture_chain(const AnnealSession& session, const Rng& rng,
   ChainCheckpoint ck;
   ck.state = capture_layout(*session.state);
   ck.best = capture_layout(session.best);
-  ck.current = session.current;
-  ck.best_cost = session.best_cost;
-  ck.best_legal = session.best_legal;
-  ck.initial_outline_weight = session.initial_outline_weight;
-  ck.temperature = session.temperature;
-  ck.cooling = session.cooling;
-  ck.total_moves = session.total_moves;
-  ck.moves_per_stage = session.moves_per_stage;
-  ck.annealed_stages = session.annealed_stages;
-  ck.stage = session.stage;
-  ck.since_full = session.since_full;
-  ck.since_thermal = session.since_thermal;
-  ck.refresh_pending = session.refresh_pending;
-  ck.stats = session.stats;
+  ck.progress = static_cast<const AnnealProgress&>(session);
   ck.rng = rng.state();
   ck.eval = eval.checkpoint_state();
   ck.field = engine.save_field();
@@ -82,23 +62,7 @@ void restore_chain(const ChainCheckpoint& ck, AnnealSession& session,
   eval.restore_checkpoint_state(ck.eval);
 
   state_storage = restore_layout(ck.state);
-  session = AnnealSession{};
-  session.state = &state_storage;
-  session.current = ck.current;
-  session.best = restore_layout(ck.best);
-  session.best_cost = ck.best_cost;
-  session.best_legal = ck.best_legal;
-  session.initial_outline_weight = ck.initial_outline_weight;
-  session.temperature = ck.temperature;
-  session.cooling = ck.cooling;
-  session.total_moves = static_cast<std::size_t>(ck.total_moves);
-  session.moves_per_stage = static_cast<std::size_t>(ck.moves_per_stage);
-  session.annealed_stages = static_cast<std::size_t>(ck.annealed_stages);
-  session.stage = static_cast<std::size_t>(ck.stage);
-  session.since_full = static_cast<std::size_t>(ck.since_full);
-  session.since_thermal = static_cast<std::size_t>(ck.since_thermal);
-  session.refresh_pending = ck.refresh_pending;
-  session.stats = ck.stats;
+  session = AnnealSession{ck.progress, &state_storage, restore_layout(ck.best)};
 
   rng.set_state(ck.rng);
   engine.restore_field(ck.field);

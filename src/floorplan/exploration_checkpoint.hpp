@@ -8,11 +8,12 @@
 //
 //   * the layout state and the tracked best (sequence pairs, extents,
 //     die assignment),
-//   * the full AnnealSession bookkeeping (temperatures, cadence
+//   * the session's AnnealProgress, stored as is (temperatures, cadence
 //     counters, stats, the current/best cost breakdowns),
 //   * the RNG stream position (including a pending cached gaussian),
-//   * the CostEvaluator's resumable state (adaptive normalizers, cached
-//     expensive terms, escalated outline weight),
+//   * the CostEvaluator's own CheckpointState (escalated outline weight
+//     plus its Resumable record: adaptive normalizers, cached expensive
+//     terms, cross-check cadence),
 //   * the in-loop engine's warm-start temperature field, and
 //   * the per-module voltage assignment the last full evaluation wrote
 //     into the floorplan.
@@ -27,9 +28,9 @@
 // checks every stage against a from-scratch pack).
 //
 // The on-disk encoding (versioned, checksummed, validated against the
-// job identity) lives in src/service/checkpoint_io.hpp; this header is
-// the in-memory contract between the annealing stack and that service
-// layer.
+// job identity) lives in src/service/checkpoint_io.hpp, which lists each
+// of these records' fields once, in member order; this header is the
+// in-memory contract between the annealing stack and that service layer.
 #pragma once
 
 #include <cstddef>
@@ -50,11 +51,20 @@ namespace tsc3d::floorplan {
 /// sequences), module extents and die assignment.  Tracking bookkeeping
 /// is NOT captured -- restore_layout() allocates a fresh family.
 struct LayoutStateImage {
-  std::vector<std::vector<std::size_t>> positive;  ///< per die
-  std::vector<std::vector<std::size_t>> negative;  ///< per die
+  /// One die's sequence pair.
+  struct DieSequences {
+    std::vector<std::size_t> positive;
+    std::vector<std::size_t> negative;
+
+    [[nodiscard]] bool operator==(const DieSequences&) const = default;
+  };
+
+  std::vector<DieSequences> die_sp;  ///< per die
   std::vector<double> width;
   std::vector<double> height;
   std::vector<std::size_t> die_of;
+
+  [[nodiscard]] bool operator==(const LayoutStateImage&) const = default;
 };
 
 [[nodiscard]] LayoutStateImage capture_layout(const LayoutState& state);
@@ -67,24 +77,13 @@ struct LayoutStateImage {
 struct ChainCheckpoint {
   LayoutStateImage state;
   LayoutStateImage best;
-  CostBreakdown current;
-  CostBreakdown best_cost;
-  bool best_legal = false;
-  double initial_outline_weight = 0.0;
-  double temperature = 0.0;
-  double cooling = 0.0;
-  std::uint64_t total_moves = 0;
-  std::uint64_t moves_per_stage = 0;
-  std::uint64_t annealed_stages = 0;
-  std::uint64_t stage = 0;
-  std::uint64_t since_full = 0;
-  std::uint64_t since_thermal = 0;
-  bool refresh_pending = false;
-  AnnealStats stats;
+  AnnealProgress progress;            ///< the session's own bookkeeping
   Rng::State rng;
   CostEvaluator::CheckpointState eval;
   thermal::FieldSnapshot field;      ///< in-loop engine warm field
   std::vector<std::uint64_t> voltage_index;  ///< per module, from the fp
+
+  [[nodiscard]] bool operator==(const ChainCheckpoint&) const = default;
 };
 
 /// A whole exploration at a checkpointable boundary: the flow-level
@@ -98,6 +97,8 @@ struct ExplorationCheckpoint {
   std::uint64_t done_stages = 0;
   std::uint64_t round = 0;
   ExchangeStats exchange;
+
+  [[nodiscard]] bool operator==(const ExplorationCheckpoint&) const = default;
 };
 
 /// Checkpoint plumbing for Floorplanner::run: `save` (when set) is

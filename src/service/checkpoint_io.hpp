@@ -6,12 +6,17 @@
 // A checkpoint is one service frame (service/frame.hpp: magic
 // "TSC3DCKP", kCheckpointFormatVersion, size, FNV-1a checksum) whose
 // payload is the ArtifactContext followed by the ExplorationCheckpoint.
+// The checkpoint stores the annealer's and the evaluator's own state
+// records (AnnealProgress, CostEvaluator::CheckpointState), and each
+// record's fields are listed once, in checkpoint_io.cpp, for both
+// directions (service/serialize.hpp).
 //
 // Loading follows the DtmCheckpoint discipline: EVERY defect -- missing
 // file, wrong magic, unknown format version, truncated payload, checksum
 // mismatch, or an identity (design/config/seed/code-version) that does
 // not match the job being resumed -- yields {ok = false, reason}, and
-// the caller starts the run fresh.  A checkpoint can cost redo work,
+// the caller starts the run fresh.  The identity is checked before the
+// rest of the payload is decoded.  A checkpoint can cost redo work,
 // never correctness.  Writes are atomic and durable (temp file, sync,
 // rename), so a crash mid-write leaves the previous checkpoint intact.
 #pragma once
@@ -43,8 +48,10 @@ struct ArtifactContext {
 /// The context's encoding, shared by every artifact payload that opens
 /// with one (checkpoints, results, and scenario results' exploration
 /// fields).
-void put_context(ByteWriter& w, const ArtifactContext& ctx);
-[[nodiscard]] ArtifactContext get_context(ByteReader& r);
+template <class IO, RecordOf<ArtifactContext> R>
+void fields(IO& io, R& ctx) {
+  io(ctx.design_hash, ctx.config_hash, ctx.seed, ctx.code_version);
+}
 
 /// Write atomically and durably (see service::write_file_atomic); throws
 /// std::runtime_error on I/O failure.

@@ -119,18 +119,4 @@ std::string read_frame(const std::filesystem::path& path,
   }
 }
 
-void put_rng(ByteWriter& w, const Rng::State& st) {
-  for (const std::uint64_t s : st.s) w.u64(s);
-  w.f64(st.cached_gaussian);
-  w.boolean(st.has_cached_gaussian);
-}
-
-Rng::State get_rng(ByteReader& r) {
-  Rng::State st;
-  for (std::uint64_t& s : st.s) s = r.u64();
-  st.cached_gaussian = r.f64();
-  st.has_cached_gaussian = r.boolean();
-  return st;
-}
-
 }  // namespace tsc3d::service

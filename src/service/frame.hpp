@@ -16,7 +16,8 @@
 // rejection by the codec's decoder, trailing bytes -- comes back as a
 // reason string, never as an exception or a wrong accept.  Each codec
 // (checkpoint_io, result_io, campaign/scenario_io) keeps only its
-// payload encoding.
+// records' fields() lists (service/serialize.hpp); read_record() below
+// decodes the results and scenario results whole.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +64,30 @@ void write_frame(const std::filesystem::path& path, const FrameFormat& format,
     const std::filesystem::path& path, const FrameFormat& format,
     const std::function<std::string(ByteReader&)>& decode);
 
+/// Read the frame at `path` into `rec`, a record that opens with its
+/// identity (a `context` member).  When `expect` is set, a stored
+/// context other than `*expect` is rejected as "context mismatch" before
+/// the rest of the payload is decoded.  Returns read_frame's reason.
+template <class Record>
+[[nodiscard]] std::string read_record(
+    const std::filesystem::path& path, const FrameFormat& format,
+    const decltype(Record::context)* expect, Record& rec) {
+  return read_frame(path, format, [&](ByteReader& r) {
+    if (expect != nullptr) {
+      ByteReader head = r;
+      decltype(Record::context) stored;
+      head(stored);
+      if (!(stored == *expect)) return std::string("context mismatch");
+    }
+    r(rec);
+    return std::string{};
+  });
+}
+
 /// The RNG stream position, as every artifact that stores one encodes it.
-void put_rng(ByteWriter& w, const Rng::State& st);
-[[nodiscard]] Rng::State get_rng(ByteReader& r);
+template <class IO, RecordOf<Rng::State> R>
+void fields(IO& io, R& st) {
+  io(st.s, st.cached_gaussian, st.has_cached_gaussian);
+}
 
 }  // namespace tsc3d::service

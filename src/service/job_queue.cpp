@@ -7,6 +7,7 @@
 #include <chrono>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -36,8 +37,13 @@ std::size_t count_entries(const std::filesystem::path& dir,
   return n;
 }
 
+/// Seconds since `claim` was written; infinite once it is gone (its
+/// holder completed or released the job after the caller listed it), so
+/// the caller goes on to contend for the job through O_EXCL.
 double claim_age_s(const std::filesystem::path& claim) {
-  const auto mtime = std::filesystem::last_write_time(claim);
+  std::error_code ec;
+  const auto mtime = std::filesystem::last_write_time(claim, ec);
+  if (ec) return std::numeric_limits<double>::infinity();
   const auto now = std::filesystem::file_time_type::clock::now();
   return std::chrono::duration<double>(now - mtime).count();
 }

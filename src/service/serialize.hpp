@@ -1,20 +1,36 @@
 // tsc3d -- thermal side-channel-aware 3D floorplanning.
 //
-// Byte-level serialization primitives for the batch exploration
-// service's on-disk artifacts (checkpoints, cached results).  The
-// encoding is deliberately boring: little-endian fixed-width integers,
-// doubles as their IEEE-754 bit patterns (bit_cast, so round-trips are
-// bitwise exact -- the resume and cache contracts depend on that), and
-// length-prefixed containers.  Readers bounds-check every access and
-// throw on truncation; the file-level frame (service/frame.hpp) adds
-// magic, version and an FNV-1a checksum on top.
+// Byte-level serialization for the batch exploration service's on-disk
+// artifacts (checkpoints, cached results, scenario results).  The
+// encoding is deliberately boring: every unsigned integer as a
+// little-endian u64, doubles as their IEEE-754 bit patterns (bit_cast,
+// so round-trips are bitwise exact -- the resume and cache contracts
+// depend on that), bools as one byte, and a u64 count before every
+// string and vector.
+//
+// Each persisted record lists its fields ONCE, in on-disk order, in a
+// fields(io, rec) template beside its codec, e.g.
+//
+//   template <class IO, RecordOf<StoredTsv> R>
+//   void fields(IO& io, R& t) { io(t.x, t.y, t.count, t.kind, t.net); }
+//
+// ByteWriter and ByteReader both accept io(a, b, ...): the writer appends
+// each field, the reader overwrites it, and a nested record recurses into
+// its own fields() (found by argument-dependent lookup).  Encoder and
+// decoder therefore cannot disagree; tests/test_artifact_golden.cpp pins
+// the resulting bytes.  The reader bounds-checks every access -- a
+// container count against the remaining payload before anything is
+// allocated -- and throws on truncation; the file-level frame
+// (service/frame.hpp) adds magic, version and an FNV-1a checksum on top.
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace tsc3d::service {
@@ -39,6 +55,21 @@ inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
   return fnv1a64(s.data(), s.size(), seed);
 }
 
+/// `R` is the record `T`, const for ByteWriter or mutable for ByteReader,
+/// so one fields(io, rec) template serves both directions.
+template <class R, class T>
+concept RecordOf = std::same_as<std::remove_const_t<R>, T>;
+
+namespace detail {
+template <class T>
+inline constexpr bool is_vector = false;
+template <class T, class A>
+inline constexpr bool is_vector<std::vector<T, A>> = true;
+/// std::uint64_t and std::size_t (bool is one byte, so it never matches).
+template <class T>
+concept Word = std::unsigned_integral<T> && sizeof(T) == 8;
+}  // namespace detail
+
 /// Append-only little-endian byte sink.
 class ByteWriter {
  public:
@@ -49,28 +80,10 @@ class ByteWriter {
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
 
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-  void boolean(bool v) { u8(v ? 1 : 0); }
-
-  void str(const std::string& s) {
-    u64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-
-  void vec_u64(const std::vector<std::uint64_t>& v) {
-    u64(v.size());
-    for (const std::uint64_t x : v) u64(x);
-  }
-
-  void vec_size(const std::vector<std::size_t>& v) {
-    u64(v.size());
-    for (const std::size_t x : v) u64(x);
-  }
-
-  void vec_f64(const std::vector<double>& v) {
-    u64(v.size());
-    for (const double x : v) f64(x);
+  /// Append each field in order (see file comment).
+  template <class... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
@@ -78,6 +91,27 @@ class ByteWriter {
   }
 
  private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::same_as<T, bool>) {
+      u8(v ? 1 : 0);
+    } else if constexpr (std::same_as<T, double>) {
+      u64(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (detail::Word<T>) {
+      u64(v);
+    } else if constexpr (std::same_as<T, std::string>) {
+      u64(v.size());
+      buf_.insert(buf_.end(), v.begin(), v.end());
+    } else if constexpr (std::is_array_v<T>) {
+      for (const auto& x : v) put(x);
+    } else if constexpr (detail::is_vector<T>) {
+      u64(v.size());
+      for (const auto& x : v) put(x);
+    } else {
+      fields(*this, v);
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -106,57 +140,56 @@ class ByteReader {
     return v;
   }
 
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-
-  [[nodiscard]] bool boolean() { return u8() != 0; }
-
-  [[nodiscard]] std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
-    return s;
-  }
-
-  [[nodiscard]] std::vector<std::uint64_t> vec_u64() {
-    const std::uint64_t n = u64();
-    need_elems(n, 8);
-    std::vector<std::uint64_t> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(u64());
-    return v;
-  }
-
-  [[nodiscard]] std::vector<std::size_t> vec_size() {
-    const std::vector<std::uint64_t> raw = vec_u64();
-    return {raw.begin(), raw.end()};
-  }
-
-  [[nodiscard]] std::vector<double> vec_f64() {
-    const std::uint64_t n = u64();
-    need_elems(n, 8);
-    std::vector<double> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
-    return v;
+  /// Overwrite each field in order (see file comment).
+  template <class... T>
+  void operator()(T&... v) {
+    (get(v), ...);
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == size_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
  private:
-  void need(std::uint64_t n) const {
-    if (n > size_ - pos_)
-      throw std::runtime_error("ByteReader: truncated artifact");
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::same_as<T, bool>) {
+      v = u8() != 0;
+    } else if constexpr (std::same_as<T, double>) {
+      v = std::bit_cast<double>(u64());
+    } else if constexpr (detail::Word<T>) {
+      v = u64();
+    } else if constexpr (std::same_as<T, std::string>) {
+      const std::size_t n = count();
+      v.assign(reinterpret_cast<const char*>(data_ + pos_), n);
+      pos_ += n;
+    } else if constexpr (std::is_array_v<T>) {
+      for (auto& x : v) get(x);
+    } else if constexpr (detail::is_vector<T>) {
+      // Nothing is reserved: the vector grows only as elements decode.
+      const std::size_t n = count();
+      v.clear();
+      for (std::size_t i = 0; i < n; ++i) get(v.emplace_back());
+    } else {
+      fields(*this, v);
+    }
   }
 
-  // Overflow-safe element-count check: `n * elem_size` can wrap for a
-  // hostile length prefix near 2^64, which would sail past need() and
-  // then loop essentially forever.  Divide instead of multiply.
-  void need_elems(std::uint64_t n, std::uint64_t elem_size) const {
-    if (n > (size_ - pos_) / elem_size)
-      throw std::runtime_error("ByteReader: truncated artifact");
+  /// Read a container's element count and reject one the rest of the
+  /// payload cannot hold at one byte per element (every encoding takes at
+  /// least one), so a hostile count -- 2^40, or near 2^64 -- is a clean
+  /// truncation before anything is allocated.
+  std::size_t count() {
+    const std::uint64_t n = u64();
+    need(n);
+    return static_cast<std::size_t>(n);
+  }
+
+  void need(std::uint64_t n) const {
+    if (n > remaining()) truncated();
+  }
+
+  [[noreturn]] static void truncated() {
+    throw std::runtime_error("ByteReader: truncated artifact");
   }
 
   const std::uint8_t* data_ = nullptr;

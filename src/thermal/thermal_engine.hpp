@@ -210,6 +210,7 @@ struct FieldSnapshot {
   std::vector<double> temp;
 
   [[nodiscard]] bool empty() const { return temp.empty(); }
+  [[nodiscard]] bool operator==(const FieldSnapshot&) const = default;
 };
 
 class ThermalEngine {

@@ -209,8 +209,7 @@ TEST(AnnealCheckpoint, ResumeRejectsChainShapeMismatch) {
 
 TEST(AnnealCheckpoint, LayoutRestoreValidatesMembership) {
   LayoutStateImage img;
-  img.positive = {{0, 1, 2}};
-  img.negative = {{2, 0, 3}};  // 3 is not a member of positive
+  img.die_sp = {{{0, 1, 2}, {2, 0, 3}}};  // 3 is not a member of positive
   img.width = {{10.0, 10.0, 10.0}};
   img.height = {{10.0, 10.0, 10.0}};
   img.die_of = {0, 0, 0};

@@ -318,6 +318,27 @@ TEST(CampaignScenarioIo, CacheMissesOnContextMismatchNeverWrongHits) {
   EXPECT_FALSE(cache.probe(res.context).has_value());
 }
 
+TEST(CampaignScenarioIo, SeedsIgnoreTheCodeVersionButKeysDoNot) {
+  // A code-version bump keeps every stage's random stream (the floorplans
+  // may well be unchanged) but must never share a cache slot with the
+  // old version's results.
+  const ScenarioContext a = sample_result().context;
+  ScenarioContext b = a;
+  b.exploration.code_version = "other-code";
+  for (const char* purpose : {"mitigation", "attack", "leakage"})
+    EXPECT_EQ(scenario_seed(a, purpose), scenario_seed(b, purpose))
+        << purpose;
+  EXPECT_NE(scenario_key(a), scenario_key(b));
+
+  // Every other identity component still moves the seed.
+  ScenarioContext c = a;
+  c.exploration.seed ^= 1;
+  EXPECT_NE(scenario_seed(a, "attack"), scenario_seed(c, "attack"));
+  c = a;
+  c.params_hash ^= 1;
+  EXPECT_NE(scenario_seed(a, "attack"), scenario_seed(c, "attack"));
+}
+
 // --- the determinism contract -------------------------------------------
 
 struct CampaignRun {

@@ -5,7 +5,8 @@
 // false, reason} -- never a crash, hang, or wrong accept (a mutant that
 // loads ok must decode to exactly the pristine artifact).  Targeted
 // cases pin the hostile-length-prefix hardening: a length field near
-// 2^64 must be rejected before any allocation is attempted.
+// 2^64, or a checksum-valid record count of 2^40, must be rejected
+// before any allocation is attempted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include "config/config_file.hpp"
 #include "floorplan/floorplanner.hpp"
 #include "service/checkpoint_io.hpp"
+#include "service/frame.hpp"
 #include "service/result_io.hpp"
 #include "service/serialize.hpp"
 #include "service/version.hpp"
@@ -183,6 +185,9 @@ TEST(ServiceFuzz, CheckpointLoaderSurvivesHundredsOfCorruptFrames) {
   const fs::path dir = fresh_dir("fuzz_ckp");
   const std::string pristine = pristine_checkpoint_bytes(dir);
   const ArtifactContext ctx = sample_context();
+  write_bytes(dir / "p.ckp", pristine);
+  const CheckpointLoad original = load_checkpoint_file(dir / "p.ckp", ctx);
+  ASSERT_TRUE(original.ok) << original.reason;
 
   std::mt19937_64 rng(0xC4C4C4C4u);
   std::size_t rejected = 0;
@@ -194,10 +199,9 @@ TEST(ServiceFuzz, CheckpointLoaderSurvivesHundredsOfCorruptFrames) {
     if (load.ok) {
       // Accepting is only legal if the decode is EXACTLY the pristine
       // artifact (e.g. a splice that rewrote bytes to themselves).
-      write_bytes(dir / "roundtrip.ckp", mutant);
-      const CheckpointLoad again =
-          load_checkpoint_file(dir / "roundtrip.ckp", ctx);
-      ASSERT_TRUE(again.ok);
+      EXPECT_TRUE(load.checkpoint == original.checkpoint)
+          << "case " << i << ": wrong accept -- corrupted bytes decoded "
+          << "to a DIFFERENT checkpoint";
     } else {
       EXPECT_FALSE(load.reason.empty()) << "case " << i;
       ++rejected;
@@ -268,12 +272,45 @@ TEST(ServiceFuzz, HostileLengthPrefixIsRejectedBeforeAllocation) {
   const std::vector<std::uint8_t>& buf = w.bytes();
   {
     ByteReader r(buf.data(), buf.size());
-    EXPECT_THROW((void)r.vec_f64(), std::runtime_error);
+    std::vector<double> v;
+    EXPECT_THROW(r(v), std::runtime_error);
   }
   {
     ByteReader r(buf.data(), buf.size());
-    EXPECT_THROW((void)r.vec_u64(), std::runtime_error);
+    std::vector<std::uint64_t> v;
+    EXPECT_THROW(r(v), std::runtime_error);
   }
+
+  // Checksum-valid frames whose record count claims 2^40 elements: the
+  // count is checked against the remaining payload before any vector is
+  // sized, so each load is a clean miss instead of std::bad_alloc (or an
+  // allocator abort under ASan).
+  const fs::path dir = fresh_dir("fuzz_count");
+  constexpr std::uint64_t kHostileCount = std::uint64_t{1} << 40;
+  const std::string truncated = "ByteReader: truncated artifact";
+
+  ByteWriter res;  // StoredResult's fields up to the placement list
+  const StoredResult head;
+  res(sample_context(), head.legal, head.correlation, head.entropy,
+      head.power_w, head.critical_delay_ns, head.wirelength_m, head.peak_k,
+      head.signal_tsvs, head.dummy_tsvs, head.voltage_volumes,
+      head.clock_period_ns);
+  res.u64(kHostileCount);  // placement
+  write_frame(dir / "count.res",
+              {{'T', 'S', 'C', '3', 'D', 'R', 'E', 'S'}, kResultFormatVersion,
+               "result"},
+              res);
+  EXPECT_EQ(load_result_file(dir / "count.res", nullptr).reason, truncated);
+
+  ByteWriter ckp;  // the context and the clock budget, then the chains
+  ckp(sample_context(), 1.5);
+  ckp.u64(kHostileCount);  // chains
+  write_frame(dir / "count.ckp",
+              {{'T', 'S', 'C', '3', 'D', 'C', 'K', 'P'},
+               kCheckpointFormatVersion, "checkpoint"},
+              ckp);
+  EXPECT_EQ(load_checkpoint_file(dir / "count.ckp", sample_context()).reason,
+            truncated);
 }
 
 TEST(ServiceFuzz, OversizedPayloadSizeFieldIsACleanMiss) {
