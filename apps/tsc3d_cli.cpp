@@ -62,9 +62,10 @@ void print_usage() {
       "                    picks per engine role), sor, or multigrid\n"
       "                    (V-cycles + FMG; wins on cold/large solves)\n"
       "  --cross-check=N   every Nth incremental cheap evaluation, verify\n"
-      "                    the cached terms against a full rescan and abort\n"
-      "                    on any bitwise mismatch (0 = off; defaults to\n"
-      "                    256 in debug builds, 0 in release)\n"
+      "                    the cached terms (and memoized entropies)\n"
+      "                    against a full recompute and abort on any\n"
+      "                    bitwise mismatch (0 = off; defaults to 256 in\n"
+      "                    debug builds, 0 in release)\n"
       "  --seed=N          RNG seed (default 1)\n"
       "  --moves=N         SA moves (0 = auto)\n"
       "  --threads=N       worker threads per thermal engine (default 1;\n"

@@ -330,6 +330,56 @@ void BM_SpatialEntropy(benchmark::State& state) {
 }
 BENCHMARK(BM_SpatialEntropy)->Arg(32)->Arg(64);
 
+/// 32^2 power maps as the TSC flow scores them: generated n100 designs 1
+/// and 2, each sampled after every stage of a short TSC-weighted anneal
+/// (4,000 moves in 8 stages, thermal refresh every 10th move), both dies:
+/// 32 maps of ~29 classes, ~290 distinct values and ~350 zero bins on
+/// average.  Unlike BM_SpatialEntropy's lognormal map they hold runs of
+/// zero bins and repeated module densities, so the sort and the class
+/// count are the flow's.  Built once per process.
+const std::vector<GridD>& flow_power_maps() {
+  static const std::vector<GridD> maps = [] {
+    std::vector<GridD> out;
+    for (const std::uint64_t design : {1u, 2u}) {
+      Floorplan3D fp = benchgen::generate("n100", design);
+      ThermalConfig cfg;
+      cfg.grid_nx = cfg.grid_ny = 32;
+      thermal::ThermalEngine engine(fp.tech(), cfg, {},
+                                    thermal::EngineRole::fast_loop);
+      floorplan::CostEvaluator::Options eval_opt;
+      eval_opt.weights = floorplan::tsc_aware_weights();
+      eval_opt.leakage_grid = 32;
+      eval_opt.cross_check_interval = 0;
+      floorplan::CostEvaluator eval(fp, engine, eval_opt);
+      floorplan::AnnealOptions aopt;
+      aopt.total_moves = 4000;
+      aopt.stages = 8;
+      aopt.thermal_eval_interval = 10;
+      floorplan::Annealer annealer(fp, eval, aopt);
+      Rng rng(design);
+      floorplan::LayoutState s = floorplan::LayoutState::initial(fp, rng);
+      floorplan::AnnealSession session = annealer.begin(s, rng);
+      while (annealer.run_stage(session, rng))
+        for (std::size_t d = 0; d < fp.tech().num_dies; ++d)
+          out.push_back(fp.power_map(d, 32, 32));
+    }
+    return out;
+  }();
+  return maps;
+}
+
+/// Eq. 3 over flow_power_maps(), one map per iteration in turn: the
+/// layer view of flowbench's leakage.spatial_entropy.p50_us.
+void BM_SpatialEntropyFlowMaps(benchmark::State& state) {
+  const std::vector<GridD>& maps = flow_power_maps();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(leakage::spatial_entropy(maps[i]));
+    i = (i + 1) % maps.size();
+  }
+}
+BENCHMARK(BM_SpatialEntropyFlowMaps)->Unit(benchmark::kMicrosecond);
+
 void BM_Pearson(benchmark::State& state) {
   const auto g = static_cast<std::size_t>(state.range(0));
   GridD a(g, g), b(g, g);
@@ -474,8 +524,10 @@ BENCHMARK(BM_CheapEval)
 
 /// BM_CheapEval/incremental:1 under the TSC-aware weights: the entropy
 /// term is on, so every evaluate_cheap() also builds each die's power
-/// map and its Eq. 3 spatial entropy -- the per-move leakage cost of the
-/// TSC flow, which the default-weight benches never pay.  Not gated.
+/// map and rescores the Eq. 3 spatial entropy of the die the move
+/// changed (the evaluator's memo serves the other) -- the per-move
+/// leakage cost of the TSC flow, which the default-weight benches never
+/// pay.  Not gated.
 void BM_CheapEvalTsc(benchmark::State& state) {
   cheap_eval_loop(state, floorplan::tsc_aware_weights());
 }

@@ -1,7 +1,9 @@
 #include "floorplan/cost.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -39,6 +41,7 @@ CostEvaluator::CostEvaluator(Floorplan3D& fp, thermal::ThermalEngine& engine,
         "CostEvaluator: engine grid must match leakage_grid");
   state_.correlation.assign(fp_.tech().num_dies, 0.0);
   state_.entropy.assign(fp_.tech().num_dies, 0.0);
+  entropy_memo_.resize(fp_.tech().num_dies);
 }
 
 void CostEvaluator::set_thermal_tolerance_scale(double scale) {
@@ -140,10 +143,38 @@ void CostEvaluator::scale_outline_weight(double factor) {
   opt_.weights.outline *= factor;
 }
 
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const GridD& a, const GridD& b) {
+  return a.nx() == b.nx() && a.ny() == b.ny() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+double CostEvaluator::die_entropy(std::size_t d, const GridD& map) {
+  std::array<EntropyMemo, 2>& slots = entropy_memo_[d];
+  if (same_bits(slots[0].map, map)) return slots[0].entropy;
+  if (same_bits(slots[1].map, map)) {
+    std::swap(slots[0], slots[1]);
+    return slots[0].entropy;
+  }
+  slots[1].map = map;
+  slots[1].entropy = leakage::spatial_entropy(map, opt_.entropy_options);
+  return slots[1].entropy;
+}
+
 void CostEvaluator::measure_cheap(CostBreakdown& c) {
   measure_layout_terms_incremental(c);
-  if (opt_.cross_check_interval > 0 &&
-      ++state_.cheap_evals % opt_.cross_check_interval == 0) {
+  const bool cross_check =
+      opt_.cross_check_interval > 0 &&
+      ++state_.cheap_evals % opt_.cross_check_interval == 0;
+  if (cross_check) {
     CostBreakdown ref;
     measure_layout_terms_full(ref);
     if (ref.bbox_area_ratio != c.bbox_area_ratio ||
@@ -158,13 +189,20 @@ void CostEvaluator::measure_cheap(CostBreakdown& c) {
 
   // Spatial entropy is the paper's cheap per-iteration leakage proxy
   // (Sec. 4.2): it needs no thermal analysis, so it is evaluated on
-  // every move when the setup weights it.
+  // every move when the setup weights it -- the memo rescores only the
+  // dies whose power map changed.
   if (opt_.weights.entropy != 0.0) {
     const std::size_t g = opt_.leakage_grid;
     c.entropy.clear();
-    for (std::size_t d = 0; d < fp_.tech().num_dies; ++d) {
-      c.entropy.push_back(leakage::spatial_entropy(
-          fp_.power_map(d, g, g), opt_.entropy_options));
+    for (std::size_t d = 0; d < fp_.tech().num_dies; ++d)
+      c.entropy.push_back(die_entropy(d, fp_.power_map(d, g, g)));
+    for (std::size_t d = 0; cross_check && d < fp_.tech().num_dies; ++d) {
+      const double fresh = leakage::spatial_entropy(fp_.power_map(d, g, g),
+                                                    opt_.entropy_options);
+      if (!same_bits(fresh, c.entropy[d]))
+        throw std::logic_error(
+            "CostEvaluator: a memoized spatial entropy diverged from a "
+            "fresh power_map + spatial_entropy");
     }
   }
 }
@@ -204,8 +242,7 @@ void CostEvaluator::measure_thermal(CostBreakdown& c) {
   for (std::size_t d = 0; d < fp_.tech().num_dies; ++d) {
     peak = std::max(peak, temps[d].max());
     c.correlation.push_back(leakage::pearson(power_maps[d], temps[d]));
-    c.entropy.push_back(
-        leakage::spatial_entropy(power_maps[d], opt_.entropy_options));
+    c.entropy.push_back(die_entropy(d, power_maps[d]));
   }
   c.peak_k_rise = std::max(0.0, peak - temps[0].min());
 
@@ -317,11 +354,13 @@ void CostEvaluator::restore_checkpoint_state(const CheckpointState& st) {
         "CostEvaluator: cannot restore inside a trial bracket");
   opt_.weights.outline = st.outline_weight;
   state_ = st.state;
-  // The value-keyed die-term cache self-heals; clear it so the first
-  // post-resume evaluation recomputes from the repacked bounds.
+  // The value-keyed die-term cache and entropy memo self-heal; clear
+  // them so the first post-resume evaluation recomputes from the
+  // repacked layout.
   die_terms_.clear();
   die_terms_outline_w_ = -1.0;
   die_terms_outline_h_ = -1.0;
+  entropy_memo_.assign(fp_.tech().num_dies, {});
 }
 
 }  // namespace tsc3d::floorplan

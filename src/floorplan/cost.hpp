@@ -19,6 +19,7 @@
 // by one move, so each solve starts from the previous field.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -86,7 +87,8 @@ class CostEvaluator {
     /// Elmore stage delays), bitwise-equal to a full rescan as long as
     /// layout writes go through LayoutState::apply_to / note_module_moved
     /// (see floorplan.hpp, "incremental layout tracking").  Every Nth
-    /// measure_cheap, recompute them by full rescan and throw
+    /// measure_cheap, recompute them by full rescan -- and each die's
+    /// memoized entropy from a fresh power map -- and throw
     /// std::logic_error on any bitwise mismatch (a mismatch means some
     /// code moved modules without announcing it).  0 disables; defaults
     /// on in debug builds.
@@ -124,8 +126,9 @@ class CostEvaluator {
   // drops the journals.  The evaluator's own state needs no journal: the
   // expensive-term caches are refresh-cadence state (a refresh taken
   // while scoring a rejected move is kept by design), and the per-die
-  // layout-term cache below is keyed on the cached bounds VALUES, so it
-  // self-heals after a rollback.  Trials do not nest.
+  // layout-term cache and entropy memo below are keyed on VALUES (the
+  // cached bounds, the power-map bits), so they self-heal after a
+  // rollback.  Trials do not nest.
 
   /// Open the speculative bracket (floorplan + timing journaling on).
   void trial_begin();
@@ -146,8 +149,8 @@ class CostEvaluator {
   // the cross-check cadence counter.  The evaluator keeps all of it but
   // the outline weight (which lives in its options) in one Resumable
   // record, so a checkpoint copies that record whole.  The value-keyed
-  // per-die layout-term cache is deliberately absent -- it self-heals
-  // from the repacked bounds with identical arithmetic.
+  // per-die layout-term cache and entropy memo are deliberately absent --
+  // they self-heal from the repacked layout with identical arithmetic.
 
   /// Adaptive normalizers: each term's value at the first full
   /// evaluation (guarded away from zero).
@@ -242,6 +245,22 @@ class CostEvaluator {
   std::vector<DieTermCache> die_terms_;
   double die_terms_outline_w_ = -1.0;  ///< outline the cache was built for
   double die_terms_outline_h_ = -1.0;
+
+  // --- per-die entropy memo ----------------------------------------------
+  // Each die's Eq. 3 entropy, keyed on the exact bits of the power map it
+  // was scored on, so a hit returns what spatial_entropy() would.  Two
+  // slots per die: a miss overwrites only slot 1 and a hit there swaps it
+  // into slot 0.  Slot 0 thus holds content asked for again after it was
+  // scored -- the committed layout, which every rejected move rolls back
+  // to -- and keeps it through any run of rejected moves on that die.
+  struct EntropyMemo {
+    GridD map;             ///< the key, compared bit for bit
+    double entropy = 0.0;  ///< spatial_entropy(map, entropy_options)
+  };
+  std::vector<std::array<EntropyMemo, 2>> entropy_memo_;
+  /// Spatial entropy of die `d`'s power map `map`: from the memo, or on a
+  /// miss from leakage::spatial_entropy.
+  [[nodiscard]] double die_entropy(std::size_t d, const GridD& map);
 
   Resumable state_;  ///< see "checkpointing" above
 };

@@ -1,12 +1,32 @@
 // Tests of the multi-objective cost evaluator (Sec. 7 setups).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "benchgen/generator.hpp"
 #include "floorplan/annealer.hpp"
 #include "floorplan/cost.hpp"
+#include "floorplan/move_transaction.hpp"
 
 namespace tsc3d::floorplan {
 namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every double of a breakdown as its bit pattern, in field order.
+std::vector<std::uint64_t> breakdown_bits(const CostBreakdown& c) {
+  std::vector<std::uint64_t> out;
+  for (const double v : {c.bbox_area_ratio, c.outline_penalty,
+                         c.wirelength_um, c.delay_ns, c.peak_k_rise,
+                         c.power_w, c.num_volumes, c.power_gradient, c.total})
+    out.push_back(bits(v));
+  for (const double v : c.correlation) out.push_back(bits(v));
+  for (const double v : c.entropy) out.push_back(bits(v));
+  out.push_back(c.fits_outline ? 1u : 0u);
+  return out;
+}
 
 class CostFixture : public ::testing::Test {
  protected:
@@ -109,6 +129,106 @@ TEST_F(CostFixture, EntropyIsLiveInCheapPathForTscWeights) {
   fp_.invalidate_layout_caches();  // bulk move outside apply_to
   const CostBreakdown after = eval.evaluate_cheap();
   EXPECT_NE(before.entropy[0], after.entropy[0]);
+}
+
+TEST_F(CostFixture, RejectedMoveEntropyHasFreshCallBits) {
+  // The per-die entropy memo serves the committed content a rejected
+  // move rolls back to; each served value must carry the bits of a fresh
+  // power_map + spatial_entropy call, on the trial layout and after the
+  // rollback alike.
+  const CostEvaluator::Options o = options(tsc_aware_weights());
+  CostEvaluator eval(fp_, engine_, o);
+  MoveTransaction tx(fp_, eval);
+  Rng rng(5);
+  LayoutState s = LayoutState::initial(fp_, rng);
+  s.apply_to(fp_);
+  (void)eval.evaluate_full();
+  const auto fresh = [&](std::size_t d) {
+    return bits(leakage::spatial_entropy(fp_.power_map(d, 16, 16),
+                                         o.entropy_options));
+  };
+  const std::vector<double> committed = eval.evaluate_cheap().entropy;
+  std::size_t rescored = 0;
+  for (int k = 0; k < 20; ++k) {
+    // An intra-die swap, staged and rejected as the annealer does.
+    MoveRecord rec;
+    rec.kind = MoveRecord::Kind::swap_both;
+    rec.die_a = rng.index(2);
+    SequencePair& sp = s.die_sp[rec.die_a];
+    ASSERT_GE(sp.size(), 2u);
+    const std::size_t i = rng.index(sp.size());
+    std::size_t j = rng.index(sp.size() - 1);
+    if (j >= i) ++j;
+    rec.module_a = sp.positive()[i];
+    rec.module_b = sp.positive()[j];
+    tx.open(s);
+    sp.swap_both(rec.module_a, rec.module_b);
+    s.touch_die(rec.die_a);
+    tx.stage();
+    const CostBreakdown trial = eval.evaluate_cheap();
+    for (std::size_t d = 0; d < 2; ++d) {
+      EXPECT_EQ(bits(trial.entropy[d]), fresh(d));
+      rescored += bits(trial.entropy[d]) != bits(committed[d]);
+    }
+    tx.rollback(rec);
+    const CostBreakdown back = eval.evaluate_cheap();
+    for (std::size_t d = 0; d < 2; ++d) {
+      EXPECT_EQ(bits(back.entropy[d]), fresh(d));
+      EXPECT_EQ(bits(back.entropy[d]), bits(committed[d]));
+    }
+  }
+  EXPECT_GT(rescored, 0u);  // the trial layouts did change the maps
+}
+
+TEST_F(CostFixture, VoltageRefreshRescoresTheChangedMaps) {
+  // Module power, and so the power map, scales with voltage_index.  Start
+  // the modules at alternating extreme levels so the refresh inside the
+  // first full evaluation moves some of them but not all (a uniform
+  // rescale would leave Eq. 3 unchanged); the entropy it reports, and the
+  // one the next cheap evaluation serves, must be a fresh call's on the
+  // new maps, never the memoized value of the old ones.
+  const std::size_t top = fp_.tech().voltages.size() - 1;
+  for (std::size_t i = 0; i < fp_.modules().size(); ++i)
+    fp_.modules()[i].voltage_index = i % 2 == 0 ? top : 0;
+  const std::vector<Module> before_refresh = fp_.modules();
+  std::vector<GridD> old_maps;
+  for (std::size_t d = 0; d < 2; ++d)
+    old_maps.push_back(fp_.power_map(d, 16, 16));
+  CostEvaluator::Options o = options(tsc_aware_weights());
+  o.cross_check_interval = 1;
+  CostEvaluator eval(fp_, engine_, o);
+  const CostBreakdown full = eval.evaluate_full();
+  const CostBreakdown cheap = eval.evaluate_cheap();
+  std::size_t rescored = 0;
+  for (std::size_t d = 0; d < 2; ++d) {
+    const double fresh = leakage::spatial_entropy(fp_.power_map(d, 16, 16),
+                                                  o.entropy_options);
+    EXPECT_EQ(bits(full.entropy[d]), bits(fresh));
+    EXPECT_EQ(bits(cheap.entropy[d]), bits(fresh));
+    rescored += bits(fresh) != bits(leakage::spatial_entropy(
+                                   old_maps[d], o.entropy_options));
+  }
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < fp_.modules().size(); ++i)
+    moved += fp_.modules()[i].voltage_index != before_refresh[i].voltage_index;
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(rescored, 0u);  // a stale memo hit would have shown
+}
+
+TEST_F(CostFixture, RestoredEvaluatorGivesTheSameBreakdownBits) {
+  // The memo is never checkpointed: a fresh evaluator restored from a
+  // snapshot rescores every die and must land on the same bits as the
+  // evaluator whose memo is warm.
+  const CostEvaluator::Options o = options(tsc_aware_weights());
+  CostEvaluator warm(fp_, engine_, o);
+  (void)warm.evaluate_full();
+  (void)warm.evaluate_cheap();
+  CostEvaluator restored(fp_, engine_, o);
+  restored.restore_checkpoint_state(warm.checkpoint_state());
+  EXPECT_EQ(breakdown_bits(restored.evaluate_cheap()),
+            breakdown_bits(warm.evaluate_cheap()));
+  EXPECT_EQ(breakdown_bits(restored.evaluate_cheap()),
+            breakdown_bits(warm.evaluate_cheap()));
 }
 
 TEST_F(CostFixture, ThermalEvalRefreshesCorrelation) {
